@@ -25,8 +25,6 @@ from .lattice import (
     BinaryForm,
     Constraint,
     TernaryForm,
-    borwein_a,
-    constrained_theta,
     identity_form,
     rep_count_ternary,
     s_of_n,
@@ -38,7 +36,6 @@ from .forms import (
     apply_transform,
     automorph_count,
     automorphs,
-    discriminant,
     enumerate_classes,
     equivalent_forms,
     legendre,
@@ -58,7 +55,7 @@ from .genera import (
     tg1,
     tg2,
 )
-from .catalog import IdentitySpec, catalog, evaluate, lookup
+from .catalog import IdentitySpec, evaluate, lookup
 from .verify import (
     HSReport,
     JagyReport,
@@ -92,8 +89,6 @@ __all__ = [
     "BinaryForm",
     "Constraint",
     "TernaryForm",
-    "borwein_a",
-    "constrained_theta",
     "identity_form",
     "rep_count_ternary",
     "s_of_n",
@@ -103,7 +98,6 @@ __all__ = [
     "apply_transform",
     "automorph_count",
     "automorphs",
-    "discriminant",
     "enumerate_classes",
     "equivalent_forms",
     "legendre",
@@ -121,7 +115,6 @@ __all__ = [
     "tg1",
     "tg2",
     "IdentitySpec",
-    "catalog",
     "evaluate",
     "lookup",
     "HSReport",

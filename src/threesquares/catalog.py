@@ -2,8 +2,15 @@
 
 Each catalog entry is a pair of expression trees over series builders;
 one interpreter evaluates both sides so every entry is auditable as
-data.  Leaves are constructors (theta sums, eta-style products, lattice
-theta series) and interior nodes are the ring and exponent operations.
+data.  Interior nodes are the ring and exponent operations; the leaves
+are tuples of these kinds:
+  ("phi", k), ("psi", k), ("f", r, s)       theta sums
+  ("prodap", factors)                        products, see qseries.prod_ap
+  ("one",), ("zero",), ("q", m)              1, 0 and q^m
+  ("theta3", coeffs, constraint)             ternary lattice theta series
+  ("theta2", coeffs, linear, const, constraint)
+                                             binary, with an affine part
+A constraint is None or a lattice.Constraint on the variables' residues.
 
 Notation used in entry descriptions:
   phi      sum of q^(n^2) over all integers n; phiK means q -> q^K
@@ -26,8 +33,6 @@ from .lattice import (
     BinaryForm,
     Constraint,
     TernaryForm,
-    borwein_a,
-    constrained_theta,
     theta_series_binary,
     theta_series_ternary,
 )
@@ -99,42 +104,23 @@ def F(r, s):
 
 
 def E(k):
-    return ("euler", k)
+    return prodap((k, k, -1, 1))
 
 
 def Q(m):
     return ("q", m)
 
 
-def theta3(*coeffs):
-    return ("theta3", tuple(coeffs))
+def theta3(*coeffs, constraint=None):
+    return ("theta3", coeffs, constraint)
 
 
-def theta2(a, b, c):
-    return ("theta2", (a, b, c))
-
-
-def theta2_affine(coeffs, linear, const):
-    return ("theta2aff", tuple(coeffs), tuple(linear), const)
-
-
-def theta2_affine_constrained(coeffs, linear, const, modulus, allowed):
-    return (
-        "theta2affc",
-        tuple(coeffs),
-        tuple(linear),
-        const,
-        modulus,
-        tuple(sorted(allowed)),
-    )
-
-
-def theta2_constrained(coeffs, modulus, allowed):
-    return ("theta2c", tuple(coeffs), modulus, tuple(sorted(allowed)))
+def theta2(a, b, c, linear=(0, 0), const=0, constraint=None):
+    return ("theta2", (a, b, c), linear, const, constraint)
 
 
 def A(k=1):
-    return ("borwein", k)
+    return theta2(k, k, k)
 
 
 ZERO = ("zero",)
@@ -144,7 +130,8 @@ PHI3 = power(PHI(), 3)
 
 
 def X(r):
-    return ("xtheta", r)
+    allowed = frozenset((i, r % 4, (-r) % 4) for i in range(4))
+    return theta3(*T_FORM, constraint=Constraint(4, allowed))
 
 
 def prodap(*factors):
@@ -177,8 +164,6 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
         out = qs.psi(order, expr[1])
     elif op == "f":
         out = qs.theta_f(expr[1], expr[2], order)
-    elif op == "euler":
-        out = qs.euler_e(expr[1], order)
     elif op == "prodap":
         out = qs.prod_ap(list(expr[1]), order)
     elif op == "one":
@@ -190,33 +175,11 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
             qs.monomial(order, expr[1]) if expr[1] <= order else qs.zero(order)
         )
     elif op == "theta3":
-        out = theta_series_ternary(TernaryForm(*expr[1]), order)
+        out = theta_series_ternary(TernaryForm(*expr[1]), order, expr[2])
     elif op == "theta2":
-        out = theta_series_binary(BinaryForm(*expr[1]), order)
-    elif op == "theta2aff":
         a, b, c = expr[1]
         out = theta_series_binary(
-            BinaryForm(a, b, c, linear=expr[2], const=expr[3]), order
-        )
-    elif op == "theta2affc":
-        a, b, c = expr[1]
-        form = BinaryForm(a, b, c, linear=expr[2], const=expr[3])
-        out = theta_series_binary(
-            form, order, Constraint(expr[4], frozenset(expr[5]))
-        )
-    elif op == "theta2c":
-        out = constrained_theta(
-            BinaryForm(*expr[1]),
-            Constraint(expr[2], frozenset(expr[3])),
-            order,
-        )
-    elif op == "borwein":
-        out = borwein_a(order, expr[1])
-    elif op == "xtheta":
-        r = expr[1]
-        allowed = frozenset((i, r % 4, (-r) % 4) for i in range(4))
-        out = theta_series_ternary(
-            TernaryForm(*T_FORM), order, Constraint(4, allowed)
+            BinaryForm(a, b, c, linear=expr[2], const=expr[3]), order, expr[4]
         )
     elif op == "add":
         out = evaluate(expr[1], order)
@@ -554,8 +517,9 @@ def _entries() -> list[IdentitySpec]:
                         sift(
                             4,
                             0,
-                            theta2_affine_constrained(
-                                (30, 20, 30), (20, 20), 0, 2, [(0, 0), (1, 1)]
+                            theta2(
+                                30, 20, 30, (20, 20), 0,
+                                Constraint(2, frozenset({(0, 0), (1, 1)})),
                             ),
                         ),
                     ),
@@ -568,8 +532,9 @@ def _entries() -> list[IdentitySpec]:
                         sift(
                             4,
                             0,
-                            theta2_affine_constrained(
-                                (30, 20, 30), (20, 20), 2, 2, [(0, 1), (1, 0)]
+                            theta2(
+                                30, 20, 30, (20, 20), 2,
+                                Constraint(2, frozenset({(0, 1), (1, 0)})),
                             ),
                         ),
                     ),
@@ -577,11 +542,11 @@ def _entries() -> list[IdentitySpec]:
             ),
             add(
                 scale(
-                    24, mul(Q(1), PHI(2), theta2_affine((20, 0, 10), (10, 0), 0))
+                    24, mul(Q(1), PHI(2), theta2(20, 0, 10, (10, 0)))
                 ),
                 scale(
                     48,
-                    mul(Q(4), PSI(4), theta2_affine((20, 0, 10), (-10, -10), 0)),
+                    mul(Q(4), PSI(4), theta2(20, 0, 10, (-10, -10))),
                 ),
             ),
             "parity split of 24 q S(4,0) over the shifted binary lattice"
@@ -691,7 +656,9 @@ def _entries() -> list[IdentitySpec]:
         IdentitySpec(
             "E4.6",
             scale(2, mul(Q(1), PSI(2), PSI(6))),
-            theta2_constrained((1, 0, 3), 2, [(0, 1), (1, 0)]),
+            theta2(
+                1, 0, 3, constraint=Constraint(2, frozenset({(0, 1), (1, 0)}))
+            ),
             "2 q psi2 psi6 = sum of q^(u^2+3v^2) over u, v of opposite parity",
         ),
         IdentitySpec(
@@ -1032,9 +999,7 @@ def _entries() -> list[IdentitySpec]:
                 X(r),
                 mul(
                     PHI(2),
-                    theta2_affine(
-                        (30, 20, 30), (20 * r, 20 * r), 5 * r * r
-                    ),
+                    theta2(30, 20, 30, (20 * r, 20 * r), 5 * r * r),
                 ),
                 f"X({r}) = phi2 * A[30y^2+30z^2+20yz+20r(y+z)+5r^2], r={r}",
             )

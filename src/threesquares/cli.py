@@ -33,14 +33,19 @@ class UsageError(SystemExit):
         super().__init__(USAGE_ERROR)
 
 
-def _default_order() -> int:
-    env = os.environ.get("TERNARY_ORDER")
-    if env:
+def _order(args) -> int:
+    """The truncation order: --order, else TERNARY_ORDER, else the default."""
+    if args.order is not None:
+        name, order = "--order", args.order
+    else:
+        name, env = "TERNARY_ORDER", os.environ.get("TERNARY_ORDER")
         try:
-            return int(env)
+            order = int(env) if env else DEFAULT_ORDER
         except ValueError:
-            raise SystemExit("TERNARY_ORDER must be an integer")
-    return DEFAULT_ORDER
+            raise UsageError(f"TERNARY_ORDER must be an integer, got {env!r}")
+    if order < 0:
+        raise UsageError(f"{name} must be non-negative, got {order}")
+    return order
 
 
 def _emit(rows: list[dict], fmt: str, output: str | None, columns) -> None:
@@ -88,7 +93,7 @@ def _parse_form(text: str):
 
 
 def _cmd_verify(args) -> int:
-    order = args.order if args.order is not None else _default_order()
+    order = _order(args)
     if args.all or not args.id:
         ids = None
     else:
@@ -170,7 +175,7 @@ def _cmd_genus(args) -> int:
                 ],
             }
             _emit([doc], "json", args.output, [])
-            return 0
+            return 0 if pairing.status == "ok" else 1
         rows = _genus_rows(genus1, f"TG1,{args.p}") + _genus_rows(
             genus2, f"TG2,{args.p}"
         )
@@ -179,7 +184,7 @@ def _cmd_genus(args) -> int:
         print(f"pullback bijection: {pairing.status}")
         for a, b in pairing.mapping:
             print(f"  {a} -> {b}")
-        return 0
+        return 0 if pairing.status == "ok" else 1
     genera = genus_partition(args.disc)
     if args.format == "json":
         _emit([g.to_json_dict() for g in genera], "json", args.output, [])

@@ -67,10 +67,6 @@ def apply_transform(form: TernaryForm, u: Matrix) -> TernaryForm:
     )
 
 
-def discriminant(form: TernaryForm) -> int:
-    return form.disc()
-
-
 def _icbrt(n: int) -> int:
     """Exact floor cube root of a non-negative integer."""
     if n < 0:
@@ -243,8 +239,8 @@ def enumerate_classes(disc: int) -> tuple[TernaryForm, ...]:
 
     Scans the complete region containing all size-reduced forms (leading
     coefficient up to the Hermite bound, sign-coupled off-diagonals) and
-    merges candidates into classes via cheap theta-prefix buckets plus
-    exact equivalence tests.  Imprimitive forms are excluded: a form with
+    merges the candidates into classes by reducing every one of them to
+    its canonical form.  Imprimitive forms are excluded: a form with
     coefficient gcd t is t times a form of discriminant disc/t^3, so it
     belongs to a smaller discriminant's classification.
     """

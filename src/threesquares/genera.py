@@ -453,26 +453,29 @@ def find_h_between(src: Genus, dst: Genus, max_n: int) -> HResult:
             return HResult("none", (), f"no partner for {f}")
         candidates.append(row)
     matchings = []
-    _all_matchings(candidates, 0, [], matchings)
+    _first_matchings(candidates, 0, [], matchings)
     if not matchings:
         return HResult("none", (), "no complete matching")
     if len(matchings) > 1:
-        return HResult("ambiguous", (), f"{len(matchings)} matchings")
+        return HResult("ambiguous", (), "more than one matching")
     pairing = tuple(
         (src.members[i], dst.members[j]) for i, j in enumerate(matchings[0])
     )
     return HResult("ok", pairing)
 
 
-def _all_matchings(rows, i, used, out):
+def _first_matchings(rows, i, used, out):
+    """Collect complete matchings into out, stopping once it holds two."""
     if i == len(rows):
         out.append(list(used))
         return
     for j in rows[i]:
         if j not in used:
             used.append(j)
-            _all_matchings(rows, i + 1, used, out)
+            _first_matchings(rows, i + 1, used, out)
             used.pop()
+            if len(out) > 1:
+                return
 
 
 def find_h(p: int, max_n: int = 500) -> HResult:

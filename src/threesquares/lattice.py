@@ -10,7 +10,6 @@ part (u, v) and a constant shift added to the exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -137,31 +136,45 @@ def _x_range(aa: int, bb: int, cc: int, n: int):
     return -((bb + s) // (2 * aa)), (-bb + s) // (2 * aa)
 
 
-def _ternary_points(form: TernaryForm, bound: int):
-    """Yield (x, y, z, value) for all integer triples with value <= bound."""
+def _ternary_rows(form: TernaryForm, bound: int):
+    """Yield (y, z, b1, c1) for every row holding a triple of value <= bound.
+
+    On row (y, z) the value is a*x^2 + b1*x + c1.  Completing the square
+    in x (Fincke & Pohst, Math. Comp. 44, 1985) turns the bound into
+    P2(y,z) <= 4*a*bound, with P2 = (4ab-f^2) y^2 + (4ad-2ef) yz
+    + (4ac-e^2) z^2 and 4*(4ab-f^2)*(4ac-e^2) - (4ad-2ef)^2 = 16*a*disc.
+    So every yielded row has b1^2 - 4*a*(c1 - bound) = 4*a*bound - P2 >= 0.
+    """
+    if bound < 0:
+        return
     a, b, c, d, e, f = form.as_tuple()
-    disc = form.disc()
-    # After completing the square in x: P2(y,z) <= 4*a*bound with
-    # P2 = (4ab-f^2) y^2 + (4ad-2ef) yz + (4ac-e^2) z^2, and
-    # 4*(4ab-f^2)*(4ac-e^2) - (4ad-2ef)^2 = 16*a*disc.
     a2 = 4 * a * b - f * f
     b2 = 4 * a * d - 2 * e * f
     c2 = 4 * a * c - e * e
-    if bound < 0:
-        return
-    zmax = isqrt(a2 * bound // disc)
+    zmax = isqrt(a2 * bound // form.disc())
     for z in range(-zmax, zmax + 1):
         ylo, yhi = _x_range(a2, b2 * z, c2 * z * z - 4 * a * bound, 0)
+        b1 = f * ylo + e * z
+        c1 = b * ylo * ylo + c * z * z + d * ylo * z
+        step = b * (2 * ylo + 1) + d * z
         for y in range(ylo, yhi + 1):
-            b1 = f * y + e * z
-            c1 = b * y * y + c * z * z + d * y * z
-            xlo, xhi = _x_range(a, b1, c1, bound)
-            val = a * xlo * xlo + b1 * xlo + c1
-            step = a * (2 * xlo + 1) + b1
-            for x in range(xlo, xhi + 1):
-                yield x, y, z, val
-                val += step
-                step += 2 * a
+            yield y, z, b1, c1
+            b1 += f
+            c1 += step
+            step += 2 * b
+
+
+def _ternary_points(form: TernaryForm, bound: int):
+    """Yield (x, y, z, value) for all integer triples with value <= bound."""
+    a = form.a
+    for y, z, b1, c1 in _ternary_rows(form, bound):
+        xlo, xhi = _x_range(a, b1, c1, bound)
+        val = a * xlo * xlo + b1 * xlo + c1
+        step = a * (2 * xlo + 1) + b1
+        for x in range(xlo, xhi + 1):
+            yield x, y, z, val
+            val += step
+            step += 2 * a
 
 
 def theta_series_ternary(
@@ -229,55 +242,18 @@ def theta_series_binary(
     return QSeries(trunc, tuple(out))
 
 
-def constrained_theta(form, constraint: Constraint, trunc: int) -> QSeries:
-    """Theta series restricted to residue tuples admitted by the constraint."""
-    if isinstance(form, TernaryForm):
-        if constraint.arity() not in (None, 3):
-            raise ValueError("constraint arity does not match 3 variables")
-        return theta_series_ternary(form, trunc, constraint)
-    if isinstance(form, BinaryForm):
-        if constraint.arity() not in (None, 2):
-            raise ValueError("constraint arity does not match 2 variables")
-        return theta_series_binary(form, trunc, constraint)
-    raise TypeError("form must be TernaryForm or BinaryForm")
-
-
-def rep_count_ternary(form: TernaryForm, n) -> int:
-    """Exact number of integer triples representing n; 0 off the integers."""
-    if isinstance(n, float):
-        if not n.is_integer():
-            return 0
-        n = int(n)
-    elif isinstance(n, Fraction):
-        if n.denominator != 1:
-            return 0
-        n = n.numerator
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    a, b, c, d, e, f = form.as_tuple()
-    disc = form.disc()
-    a2 = 4 * a * b - f * f
-    b2 = 4 * a * d - 2 * e * f
-    c2 = 4 * a * c - e * e
+def rep_count_ternary(form: TernaryForm, n: int) -> int:
+    """Exact number of integer triples representing n."""
+    four_a, two_a = 4 * form.a, 2 * form.a
     count = 0
-    zmax = isqrt(a2 * n // disc)
-    for z in range(-zmax, zmax + 1):
-        ylo, yhi = _x_range(a2, b2 * z, c2 * z * z - 4 * a * n, 0)
-        for y in range(ylo, yhi + 1):
-            b1 = f * y + e * z
-            c1 = b * y * y + c * z * z + d * y * z
-            disc_x = b1 * b1 - 4 * a * (c1 - n)
-            if disc_x < 0:
-                continue
-            s = isqrt(disc_x)
-            if s * s != disc_x:
-                continue
-            for sign in ((s,) if s == 0 else (s, -s)):
-                num = -b1 + sign
-                if num % (2 * a) == 0:
-                    count += 1
+    for _y, _z, b1, c1 in _ternary_rows(form, n):
+        disc_x = b1 * b1 - four_a * (c1 - n)
+        s = isqrt(disc_x)
+        if s * s == disc_x:
+            # The roots x = (-b1 +- s) / 2a; each integral one counts once.
+            count += (s - b1) % two_a == 0
+            if s:
+                count += (-s - b1) % two_a == 0
     return count
 
 
@@ -292,7 +268,7 @@ def identity_form() -> TernaryForm:
     return _I3
 
 
-def s_of_n(n) -> int:
+def s_of_n(n: int) -> int:
     """Number of representations of n as a sum of three squares."""
     return rep_count_ternary(identity_form(), n)
 
@@ -321,11 +297,6 @@ def s_table(n_max: int) -> np.ndarray:
         w = 2 if z > 0 else 1
         s[m:] += w * r2[: n_max + 1 - m]
     return s
-
-
-def borwein_a(trunc: int, step: int = 1) -> QSeries:
-    """Theta series of m^2 + mn + n^2 in q^step."""
-    return theta_series_binary(BinaryForm(step, step, step), trunc)
 
 
 def short_vectors(form: TernaryForm, bound: int):

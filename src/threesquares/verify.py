@@ -22,27 +22,11 @@ from .catalog import (
     scale,
     sift,
     sub,
+    theta3,
 )
 from .forms import is_prime, legendre
 from .genera import Genus, HResult, find_h, tg1, tg2
-from .lattice import (
-    TernaryForm,
-    s_table,
-    theta_series_ternary,
-)
-
-_THETA_CACHE: dict[tuple, list[int]] = {}
-
-
-def _theta(form_tuple: tuple, order: int) -> list[int]:
-    """Grow-only cache of ternary theta coefficients."""
-    known = _THETA_CACHE.get(form_tuple)
-    if known is None or len(known) <= order:
-        known = list(
-            theta_series_ternary(TernaryForm(*form_tuple), order).coeffs
-        )
-        _THETA_CACHE[form_tuple] = known
-    return known
+from .lattice import s_table
 
 
 @dataclass(frozen=True)
@@ -260,10 +244,10 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
     extensions subtract a second form's counts and hold for every n.
     """
     s9 = s_table(25 * max_n)
-    g = _theta((1, 1, 3, 0, 0, 1), max_n)
-    h = _theta((2, 2, 2, -1, 1, 1), max_n)
-    g2 = _theta((4, 3, 4, 0, 4, 0), max_n)
-    h2 = _theta((8, 3, 7, 2, 8, 4), max_n)
+    g = evaluate(theta3(1, 1, 3, 0, 0, 1), max_n)
+    h = evaluate(theta3(2, 2, 2, -1, 1, 1), max_n)
+    g2 = evaluate(theta3(4, 3, 4, 0, 4, 0), max_n)
+    h2 = evaluate(theta3(8, 3, 7, 2, 8, 4), max_n)
     checks = [
         (
             "T1.1",
@@ -340,8 +324,8 @@ def verify_prop54(p: int, max_n: int) -> Prop54Report:
     """s(p^2 n) - p s(n) as 48 and -96 times automorph-weighted counts
     over the two distinguished genera, checked exactly for 1 <= n <= max_n."""
     genus1, genus2 = tg1(p), tg2(p)
-    t1 = [_theta(m.as_tuple(), max_n) for m in genus1.members]
-    t2 = [_theta(m.as_tuple(), max_n) for m in genus2.members]
+    t1 = [evaluate(theta3(*m.as_tuple()), max_n) for m in genus1.members]
+    t2 = [evaluate(theta3(*m.as_tuple()), max_n) for m in genus2.members]
     table = s_table(p * p * max_n)
     first_fail = None
     for n in range(1, max_n + 1):
@@ -409,8 +393,8 @@ def verify_signature(p: int, max_n: int) -> SignatureReport:
     pullback_ok = True
     vanishing_ok = True
     for f, g in result.mapping:
-        tf = _theta(f.as_tuple(), 4 * max_n)
-        tg = _theta(g.as_tuple(), max_n)
+        tf = evaluate(theta3(*f.as_tuple()), 4 * max_n)
+        tg = evaluate(theta3(*g.as_tuple()), max_n)
         if any(tf[4 * n] != tg[n] for n in range(max_n + 1)):
             pullback_ok = False
         if any(
@@ -458,7 +442,7 @@ def verify_jagy(p: int, max_n: int) -> JagyReport:
     bad = []
     targets = [n for n in range(1, max_n + 1) if legendre(-n, p) == 1]
     for form in members:
-        theta = _theta(form.as_tuple(), max_n)
+        theta = evaluate(theta3(*form.as_tuple()), max_n)
         for n in targets:
             if theta[n] != 0:
                 bad.append((form.as_tuple(), n))

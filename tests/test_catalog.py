@@ -97,3 +97,10 @@ def test_descriptions_are_informative():
     for spec in catalog():
         assert spec.description
         assert "=" in spec.description or "X(" in spec.description
+
+
+def test_package_attribute_is_the_catalog_module():
+    from threesquares import catalog as C
+
+    C.clear_cache()
+    assert C.catalog()

@@ -129,3 +129,42 @@ def test_env_default_order(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out.strip())["order"] == 50
+
+
+def test_genus_exit_code_follows_pairing_status(monkeypatch, capsys):
+    from threesquares import cli
+    from threesquares.genera import HResult
+
+    failed = HResult("none", (), "x")
+    monkeypatch.setattr(cli, "find_h", lambda p, max_n: failed)
+    code, out, _ = run_cli(
+        ["genus", "--p", "23", "--max-n", "60", "--format", "json"], capsys
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["hStatus"] == "none" and doc["h"] == []
+    code, out, _ = run_cli(["genus", "--p", "23", "--max-n", "60"], capsys)
+    assert code == 1
+    assert "pullback bijection: none" in out
+
+
+@pytest.mark.parametrize(
+    "order, env, message",
+    [
+        ("-5", None, "--order must be non-negative"),
+        (None, "abc", "TERNARY_ORDER must be an integer"),
+        (None, "-3", "TERNARY_ORDER must be non-negative"),
+    ],
+)
+def test_bad_order_is_a_usage_error(monkeypatch, capsys, order, env, message):
+    if env is None:
+        monkeypatch.delenv("TERNARY_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("TERNARY_ORDER", env)
+    argv = ["verify", "--id", "E1.9"]
+    if order is not None:
+        argv += ["--order", order]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and message in err

@@ -10,7 +10,6 @@ from threesquares.forms import (
     apply_transform,
     automorph_count,
     automorphs,
-    discriminant,
     enumerate_classes,
     equivalent_forms,
     is_prime,
@@ -47,9 +46,9 @@ def random_unimodular(rng, steps=6):
 
 
 def test_discriminant_values():
-    assert discriminant(I3) == 4
-    assert discriminant(TernaryForm(1, 1, 3, 0, 0, 1)) == 9
-    assert discriminant(TernaryForm(4, 23, 24, 0, 4, 0)) == 8464
+    assert I3.disc() == 4
+    assert TernaryForm(1, 1, 3, 0, 0, 1).disc() == 9
+    assert TernaryForm(4, 23, 24, 0, 4, 0).disc() == 8464
 
 
 def test_discriminant_invariant_under_transforms():
@@ -57,7 +56,7 @@ def test_discriminant_invariant_under_transforms():
     for form in (I3, TernaryForm(2, 2, 2, -1, 1, 1), TernaryForm(3, 8, 8, -7, 2, 2)):
         for _ in range(20):
             u = random_unimodular(rng)
-            assert discriminant(apply_transform(form, u)) == discriminant(form)
+            assert apply_transform(form, u).disc() == form.disc()
 
 
 def test_theta_invariant_under_transforms():

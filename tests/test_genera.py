@@ -8,8 +8,10 @@ from threesquares.lattice import TernaryForm
 from threesquares.forms import reduce_form
 from threesquares.genera import (
     BinaryClass,
+    Genus,
     binary_classes,
     find_h,
+    find_h_between,
     genus_of,
     genus_partition,
     lift_binary_to_ternary,
@@ -173,3 +175,13 @@ def test_genus_json_shape():
     assert doc["discriminant"] == 529
     assert len(doc["members"]) == 3
     json.dumps(doc)  # serializable
+
+
+def test_matching_search_stops_at_the_second_match():
+    # Eight interchangeable members admit 8! = 40320 matchings; two
+    # already decide that the pairing is ambiguous.
+    i3 = TernaryForm(1, 1, 1, 0, 0, 0)
+    g = Genus(4, (i3,) * 8, (48,) * 8)
+    result = find_h_between(g, g, 20)
+    assert result.status == "ambiguous"
+    assert "40320" not in result.detail
