@@ -48,7 +48,10 @@ def _order(args) -> int:
     return order
 
 
-def _emit(rows: list[dict], fmt: str, output: str | None, columns) -> None:
+def _emit(
+    rows: list[dict], fmt: str, output: str | None, columns, trailer: str = ""
+) -> None:
+    """Write the rows, then the trailer lines, to --output or stdout."""
     if fmt == "json":
         text = "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n"
     elif fmt == "csv":
@@ -69,6 +72,7 @@ def _emit(rows: list[dict], fmt: str, output: str | None, columns) -> None:
                 "  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns)
             )
         text = "\n".join(lines) + "\n"
+    text += trailer
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -179,11 +183,14 @@ def _cmd_genus(args) -> int:
         rows = _genus_rows(genus1, f"TG1,{args.p}") + _genus_rows(
             genus2, f"TG2,{args.p}"
         )
-        _emit(rows, args.format, args.output, ["genus", "form", "aut", "weight48"])
         pairing = find_h(args.p, args.max_n)
-        print(f"pullback bijection: {pairing.status}")
-        for a, b in pairing.mapping:
-            print(f"  {a} -> {b}")
+        trailer = f"pullback bijection: {pairing.status}\n" + "".join(
+            f"  {a} -> {b}\n" for a, b in pairing.mapping
+        )
+        _emit(
+            rows, args.format, args.output, ["genus", "form", "aut", "weight48"],
+            trailer,
+        )
         return 0 if pairing.status == "ok" else 1
     genera = genus_partition(args.disc)
     if args.format == "json":
@@ -192,8 +199,10 @@ def _cmd_genus(args) -> int:
     rows = []
     for i, g in enumerate(genera):
         rows.extend(_genus_rows(g, f"G{i + 1}"))
-    _emit(rows, args.format, args.output, ["genus", "form", "aut", "weight48"])
-    print(f"{len(genera)} genera of discriminant {args.disc}")
+    _emit(
+        rows, args.format, args.output, ["genus", "form", "aut", "weight48"],
+        f"{len(genera)} genera of discriminant {args.disc}\n",
+    )
     return 0
 
 
@@ -286,6 +295,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:
+        # A construction that cannot be completed (tg2, lifting) is a
+        # failed check, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,14 +6,26 @@ coefficient tuple among all equivalent forms satisfying the size bounds
 a <= b <= c, |f| <= a, |e| <= a, |d| <= b.  Its diagonal is exactly the
 triple of successive minima (attained by a basis in rank 3), so the
 search space is a provably complete finite set of short-vector triples.
+
+Both hot loops run as exact int64 numpy code.  The class scan broadcasts
+the (f, e, d) grid of each (a, b) and takes c with np.divmod; the basis
+search takes every bilinear value as a matrix product against V @ G and
+every determinant as cross * dot, scanning third vectors in ascending
+value blocks.  Each proves its worst intermediate below 2^62 before the
+array arithmetic and raises ValueError when it cannot; there is no
+Python-int fallback, since no discriminant small enough to enumerate
+comes near that bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
+
+import numpy as np
 
 from .lattice import TernaryForm, short_vectors
+from .qseries import _INT64_SAFE
 
 Matrix = tuple[tuple[int, int, int], ...]
 
@@ -79,36 +91,44 @@ def _icbrt(n: int) -> int:
     return r
 
 
-def _minima(form: TernaryForm) -> tuple[int, int]:
-    """First two successive minima of a positive definite ternary form."""
+def _certify(form: TernaryForm, v: np.ndarray) -> None:
+    """Check that products of the (n, 3) coordinate array v stay in int64.
+
+    With m the largest coordinate and g the largest doubled-Gram entry, a
+    bilinear value u^T G w sums three terms of size <= 3*g*m^2 and a
+    determinant (u x w) . t three of size <= 2*m^3; both must stay below
+    2^62.
+    """
+    m = max(int(v.max(initial=0)), -int(v.min(initial=0)))
+    g = max(abs(x) for x in form.as_tuple()) * 2
+    if max(9 * g * m * m, 6 * m ** 3) >= _INT64_SAFE:
+        raise ValueError(f"reduction of {form} overflows int64")
+
+
+def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) arrays (w may be one row)."""
+    u0, u1, u2 = u.T
+    w0, w1, w2 = w.T
+    return np.stack((u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0), 1)
+
+
+def _minima(form: TernaryForm):
+    """First two successive minima, and the short vectors that found them.
+
+    Returns (lam1, lam2, top, vecs) with vecs = short_vectors(form, top).
+    lam1^3 <= 2 det(G) = D/2 by the rank-3 Hermite bound, and
+    lam2 <= max(isqrt(D//lam1), 2*lam1) (see _scan_bound_b), so one
+    enumeration up to top covers both for every lam1 >= 1.
+    """
     d = form.disc()
-    # lam1^3 <= 2 det(G) = D/2 by the rank-3 Hermite bound.
-    vecs = short_vectors(form, _icbrt(d // 2) + 1)
-    lam1 = min(v for _, v in vecs)
-    # lam2 <= max(isqrt(D//lam1), 2*lam1), see _scan_bound_b.
-    bound2 = max(isqrt(d // lam1), 2 * lam1) + 1
-    vecs = short_vectors(form, bound2)
-    vecs.sort(key=lambda p: p[1])
-    first = next(v for v, val in vecs if val == lam1)
-    lam2 = None
-    for v, val in vecs:
-        if not _parallel(v, first):
-            lam2 = val
-            break
-    assert lam2 is not None
-    return lam1, lam2
-
-
-def _parallel(u, v) -> bool:
-    return (
-        u[0] * v[1] == u[1] * v[0]
-        and u[0] * v[2] == u[2] * v[0]
-        and u[1] * v[2] == u[2] * v[1]
-    )
-
-
-def _det_cols(v1, v2, v3) -> int:
-    return mat_det(mat_transpose((v1, v2, v3)))
+    top = max(isqrt(d), 2 * _icbrt(d // 2) + 2) + 1
+    vecs = short_vectors(form, top)
+    v, vals = vecs[:, :3], vecs[:, 3]
+    _certify(form, v)
+    lam1 = int(vals.min())
+    first = v[np.argmax(vals == lam1)]
+    apart = _cross(v, first).any(axis=1)
+    return lam1, int(vals[apart].min()), top, vecs
 
 
 def reduce_form_with_transform(form: TernaryForm) -> tuple[TernaryForm, Matrix]:
@@ -118,55 +138,71 @@ def reduce_form_with_transform(form: TernaryForm) -> tuple[TernaryForm, Matrix]:
     terms inside the size bounds; the first feasible c is the third
     minimum, and the smallest (d, e, f) at that c is the canonical tail.
     The vector bound D/(3*lam1*lam2) + lam2 provably covers every
-    admissible third diagonal; enumeration starts much lower and doubles
-    toward it, since the third minimum is usually near the cube root.
+    admissible third diagonal, and the first feasible c does not depend
+    on how far the vectors reach beyond it, so the vectors of _minima
+    serve whenever they reach that bound.
     """
     d = form.disc()
-    lam1, lam2 = _minima(form)
-    hard_bound = d // (3 * lam1 * lam2) + lam2 + 1
-    bound = min(hard_bound, max(lam2 + 1, 2 * _icbrt(d)))
-    while True:
-        found = _reduce_search(form, lam1, lam2, bound)
-        if found is not None:
-            best, best_basis = found
-            break
-        assert bound < hard_bound, "reduction search must find a basis"
-        bound = min(2 * bound, hard_bound)
+    lam1, lam2, top, vecs = _minima(form)
+    bound = d // (3 * lam1 * lam2) + lam2 + 1
+    if bound > top:
+        vecs = short_vectors(form, bound)
+    found = _reduce_search(form, lam1, lam2, vecs)
+    assert found is not None, "reduction search must find a basis"
+    best, best_basis = found
     u = mat_transpose(best_basis)
     reduced = TernaryForm(*best)
     assert apply_transform(form, u) == reduced
     return reduced, u
 
 
-def _reduce_search(form, lam1, lam2, bound):
-    by_value: dict[int, list] = {}
-    for v, val in short_vectors(form, bound):
-        by_value.setdefault(val, []).append(v)
-    pairs = []
-    for v1 in by_value[lam1]:
-        for v2 in by_value[lam2]:
-            fcoef = form.bilinear(v1, v2)
-            if abs(fcoef) <= lam1:
-                pairs.append((v1, v2, fcoef))
-    best = None
-    best_basis = None
-    for cval in sorted(v for v in by_value if v >= lam2):
-        for v1, v2, fcoef in pairs:
-            for v3 in by_value[cval]:
-                ecoef = form.bilinear(v1, v3)
-                if abs(ecoef) > lam1:
-                    continue
-                dcoef = form.bilinear(v2, v3)
-                if abs(dcoef) > lam2:
-                    continue
-                if _det_cols(v1, v2, v3) not in (1, -1):
-                    continue
-                key = (lam1, lam2, cval, dcoef, ecoef, fcoef)
-                if best is None or key < best:
-                    best = key
-                    best_basis = (v1, v2, v3)
-        if best is not None:
-            return best, best_basis
+# Pairs x third vectors per block of the basis search: bounds its memory.
+_SEARCH_BLOCK = 1 << 16
+
+
+def _reduce_search(form, lam1, lam2, vecs):
+    """Smallest (c, d, e, f) over bases with values (lam1, lam2, c), or None.
+
+    vecs is a short_vectors array reaching at least lam2.
+
+    Pairs (v1, v2) and third vectors keep the enumeration order of
+    short_vectors, and ties resolve to the first basis in that order.
+    Third vectors are scanned in ascending value blocks of about
+    _SEARCH_BLOCK / len(pairs), split only between values, and the scan
+    stops at the first block that holds a unimodular basis.
+    """
+    v, vals = vecs[:, :3], vecs[:, 3]
+    _certify(form, v)
+    g = np.array(form.gram2(), dtype=np.int64)
+    v1, v2 = v[vals == lam1], v[vals == lam2]
+    fmat = v1 @ g @ v2.T
+    i1, i2 = np.nonzero(np.abs(fmat) <= lam1)
+    if not len(i1):
+        return None
+    p1, p2, fcoef = v1[i1], v2[i2], fmat[i1, i2]
+    p1g, p2g, cross = p1 @ g, p2 @ g, _cross(p1, p2)
+    order = np.argsort(vals, kind="stable")
+    cvals = vals[order]
+    start = int(np.searchsorted(cvals, lam2))
+    step = max(1, _SEARCH_BLOCK // len(p1))
+    while start < len(order):
+        stop = int(np.searchsorted(
+            cvals, cvals[min(start + step, len(order)) - 1], side="right"
+        ))
+        v3 = v[order[start:stop]].T
+        ecoef, dcoef = p1g @ v3, p2g @ v3
+        ok = (np.abs(ecoef) <= lam1) & (np.abs(dcoef) <= lam2)
+        ok &= np.abs(cross @ v3) == 1
+        i, j = np.nonzero(ok)
+        if len(i):
+            c, d, e = cvals[start:stop][j], dcoef[i, j], ecoef[i, j]
+            f = fcoef[i]
+            # lexsort is stable, so equal keys keep the (pair, v3) loop order.
+            k = np.lexsort((f, e, d, c))[0]
+            best = (lam1, lam2, int(c[k]), int(d[k]), int(e[k]), int(f[k]))
+            basis = (p1[i[k]], p2[i[k]], v3[:, j[k]])
+            return best, tuple(tuple(int(x) for x in w) for w in basis)
+        start = stop
     return None
 
 
@@ -192,8 +228,8 @@ def automorphs(form: TernaryForm) -> list[Matrix]:
     a, b, c, d, e, f = form.as_tuple()
     vecs = short_vectors(form, max(a, b, c))
     by_value: dict[int, list] = {}
-    for v, val in vecs:
-        by_value.setdefault(val, []).append(v)
+    for x, y, z, val in vecs[np.isin(vecs[:, 3], (a, b, c))].tolist():
+        by_value.setdefault(val, []).append((x, y, z))
     result = []
     for v1 in by_value.get(a, ()):
         for v2 in by_value.get(b, ()):
@@ -215,15 +251,6 @@ def automorph_count(form: TernaryForm) -> int:
     return len(automorphs(form))
 
 
-def _primitive(*coeffs: int) -> bool:
-    from math import gcd
-
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    return g == 1
-
-
 def _scan_bound_b(disc: int, a: int) -> int:
     """Upper bound for b over canonical forms with leading coefficient a.
 
@@ -231,6 +258,49 @@ def _scan_bound_b(disc: int, a: int) -> int:
     a <= b/2, which forces a*b^2 <= D, or b < 2a.
     """
     return max(isqrt(disc // a), 2 * a)
+
+
+def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
+    """Primitive forms of the scan region, as coefficient tuples.
+
+    Sign flips of the variables couple the off-diagonal signs pairwise,
+    so every class has a size-reduced form with d, e, f all >= 0 or all
+    strictly negative; scanning those two patterns is complete.  For
+    each (a, b) the (f, e, d) grid is one broadcast array, and c comes
+    from D = c(4ab-f^2) + def - ad^2 - be^2 by np.divmod.  With e, f <= a
+    and d <= b the numerator is at most D + 2*b*a^2 + a*b^2 and the
+    divisor at most 4ab; that bound is checked against 2^62 first.
+    """
+    amax = _icbrt(disc // 2)
+    bmax = max(isqrt(disc), 2 * amax)
+    worst = disc + amax * bmax * (2 * amax + bmax + 4)
+    if worst >= _INT64_SAFE:
+        raise ValueError(
+            f"class scan of discriminant {disc} overflows int64 "
+            f"(worst intermediate {worst} >= 2^62)"
+        )
+    candidates = set()
+    for a in range(1, amax + 1):
+        f = np.arange(a + 1, dtype=np.int64)[:, None, None]
+        e = f.reshape(1, -1, 1)
+        for b in range(a, _scan_bound_b(disc, a) + 1):
+            d = np.arange(b + 1, dtype=np.int64)
+            den = 4 * a * b - f * f
+            base = disc + b * e * e + a * d * d
+            def_term = d * e * f
+            for sign in (1, -1):
+                c, rem = np.divmod(base - sign * def_term, den)
+                ok = (rem == 0) & (c >= b)
+                if sign < 0:
+                    ok &= def_term != 0
+                fi, ei, di = np.nonzero(ok)
+                ci = c[fi, ei, di]
+                keep = np.gcd(np.gcd.reduce([ci, di, ei, fi]), gcd(a, b)) == 1
+                for cc, dd, ee, ff in zip(
+                    *(x[keep].tolist() for x in (ci, di, ei, fi))
+                ):
+                    candidates.add((a, b, cc, sign * dd, sign * ee, sign * ff))
+    return candidates
 
 
 @lru_cache(maxsize=None)
@@ -246,31 +316,7 @@ def enumerate_classes(disc: int) -> tuple[TernaryForm, ...]:
     """
     if disc < 1:
         raise ValueError("discriminant must be positive")
-    candidates = set()
-    # Sign flips of the variables couple the off-diagonal signs pairwise,
-    # so every class has a size-reduced form with d, e, f all >= 0 or all
-    # strictly negative; scanning those two patterns is complete.
-    for a in range(1, _icbrt(disc // 2) + 1):
-        for b in range(a, _scan_bound_b(disc, a) + 1):
-            for f in range(0, a + 1):
-                den = 4 * a * b - f * f
-                for e in range(0, a + 1):
-                    base = disc + b * e * e
-                    for dd in range(0, b + 1):
-                        num = base - dd * e * f + a * dd * dd
-                        cc, rem = divmod(num, den)
-                        if rem == 0 and cc >= b and _primitive(a, b, cc, dd, e, f):
-                            candidates.add((a, b, cc, dd, e, f))
-                        if dd and e and f:
-                            num2 = base + dd * e * f + a * dd * dd
-                            cc2, rem2 = divmod(num2, den)
-                            if (
-                                rem2 == 0
-                                and cc2 >= b
-                                and _primitive(a, b, cc2, dd, e, f)
-                            ):
-                                candidates.add((a, b, cc2, -dd, -e, -f))
-    canon = {reduce_form(TernaryForm(*t)).as_tuple() for t in candidates}
+    canon = {reduce_form(TernaryForm(*t)).as_tuple() for t in _candidates(disc)}
     return tuple(TernaryForm(*t) for t in sorted(canon))
 
 

@@ -14,7 +14,7 @@ from math import isqrt
 
 import numpy as np
 
-from .qseries import QSeries
+from .qseries import _INT64_SAFE, QSeries
 
 
 @dataclass(frozen=True)
@@ -299,10 +299,54 @@ def s_table(n_max: int) -> np.ndarray:
     return s
 
 
-def short_vectors(form: TernaryForm, bound: int):
-    """All integer triples v != 0 with form(v) <= bound, with their values."""
-    return [
-        ((x, y, z), val)
-        for x, y, z, val in _ternary_points(form, bound)
-        if (x, y, z) != (0, 0, 0)
-    ]
+def short_vectors(form: TernaryForm, bound: int) -> np.ndarray:
+    """All integer triples v != 0 with form(v) <= bound, with their values.
+
+    One (n, 4) int64 array of rows (x, y, z, value), in the order of
+    _ternary_points.  The rows come from _ternary_rows in Python; the x
+    runs inside each row are spread out with np.repeat.  Every coordinate
+    obeys x_i^2 <= bound * adj(G)_ii / disc (adj of the doubled Gram G),
+    so bounding each term of a*x^2 + b1*x + c1 by those maxima certifies
+    int64 before any array is built; a larger bound raises ValueError.
+    """
+    a, b, c, d, e, f = form.as_tuple()
+    disc = form.disc()
+    n = max(bound, 0)
+    xm, ym, zm = (
+        isqrt(n * adj // disc) + 1
+        for adj in (4 * b * c - d * d, 4 * a * c - e * e, 4 * a * b - f * f)
+    )
+    worst = (
+        a * xm * xm + (abs(f) * ym + abs(e) * zm) * xm
+        + b * ym * ym + c * zm * zm + abs(d) * ym * zm
+    )
+    if worst >= _INT64_SAFE:
+        raise ValueError(
+            f"short vectors up to {bound} of {form} overflow int64 "
+            f"(worst intermediate {worst} >= 2^62)"
+        )
+    rows = []
+    for y, z, b1, c1 in _ternary_rows(form, bound):
+        xlo, xhi = _x_range(a, b1, c1, bound)
+        if y == z == 0:
+            # The row through the origin is xlo..-xlo; leave out x = 0.
+            rows.append((xlo, -xlo, y, z, b1, c1))
+            xlo = 1
+        if xlo <= xhi:
+            rows.append((xlo, xhi - xlo + 1, y, z, b1, c1))
+    if not rows:
+        return np.zeros((0, 4), dtype=np.int64)
+    xlo, count, y, z, b1, c1 = np.array(rows, dtype=np.int64).T
+    starts = np.cumsum(count) - count
+    out = np.empty((int(count.sum()), 4), dtype=np.int64)
+    x = out[:, 0]
+    x[:] = np.repeat(xlo - starts, count)
+    x += np.arange(len(out), dtype=np.int64)
+    out[:, 1] = np.repeat(y, count)
+    out[:, 2] = np.repeat(z, count)
+    val = out[:, 3]
+    np.multiply(x, a, out=val)
+    val += np.repeat(b1, count)
+    val *= x
+    val += np.repeat(c1, count)
+    return out

@@ -168,3 +168,50 @@ def test_bad_order_is_a_usage_error(monkeypatch, capsys, order, env, message):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, trailer",
+    [
+        (["genus", "--p", "23", "--max-n", "60"], "pullback bijection: ok"),
+        (["genus", "--p", "23", "--max-n", "60", "--format", "csv"],
+         "pullback bijection: ok"),
+        (["genus", "--disc", "4624"], "12 genera of discriminant 4624"),
+        (["genus", "--disc", "4624", "--format", "csv"],
+         "12 genera of discriminant 4624"),
+    ],
+)
+def test_genus_output_file_takes_the_whole_report(tmp_path, capsys, argv, trailer):
+    target = tmp_path / "report.txt"
+    code, out, _ = run_cli(argv + ["--output", str(target)], capsys)
+    assert code == 0
+    assert out == ""
+    with open(target, newline="") as fh:
+        report = fh.read()
+    assert trailer in report
+    # Without --output the same report goes to stdout.
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == report
+
+
+def test_runtime_error_is_a_one_line_failure(monkeypatch, capsys):
+    from threesquares import cli
+
+    def broken(p):
+        raise RuntimeError(f"no genus of discriminant 16*{p}^2 qualifies")
+
+    monkeypatch.setattr(cli, "tg2", broken)
+    code, out, err = run_cli(["genus", "--p", "23"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: no genus of discriminant 16*23^2 qualifies\n"
+
+
+def test_int64_bound_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        ["genus", "--disc", "4611686018427387904"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "int64" in err

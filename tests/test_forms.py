@@ -1,12 +1,21 @@
 """Reduction, equivalence, automorphs, and class enumeration."""
 
 import random
+from math import gcd, isqrt
 
 import pytest
 
-from threesquares.lattice import TernaryForm, theta_series_ternary
+from threesquares.lattice import (
+    TernaryForm,
+    _ternary_points,
+    short_vectors,
+    theta_series_ternary,
+)
 from threesquares.forms import (
     IDENTITY,
+    _candidates,
+    _icbrt,
+    _scan_bound_b,
     apply_transform,
     automorph_count,
     automorphs,
@@ -17,6 +26,7 @@ from threesquares.forms import (
     mat_det,
     mat_inverse_unimodular,
     mat_mul,
+    mat_transpose,
     reduce_form,
     reduce_form_with_transform,
 )
@@ -171,3 +181,139 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
+
+
+# -- scalar reference: the loop code the numpy scan and search replaced ------
+
+
+def ref_short_vectors(form, bound):
+    return [
+        ((x, y, z), val)
+        for x, y, z, val in _ternary_points(form, bound)
+        if (x, y, z) != (0, 0, 0)
+    ]
+
+
+def ref_candidates(disc):
+    candidates = set()
+    for a in range(1, _icbrt(disc // 2) + 1):
+        for b in range(a, _scan_bound_b(disc, a) + 1):
+            for f in range(0, a + 1):
+                den = 4 * a * b - f * f
+                for e in range(0, a + 1):
+                    base = disc + b * e * e
+                    for dd in range(0, b + 1):
+                        num = base - dd * e * f + a * dd * dd
+                        cc, rem = divmod(num, den)
+                        if rem == 0 and cc >= b and gcd(a, b, cc, dd, e, f) == 1:
+                            candidates.add((a, b, cc, dd, e, f))
+                        if dd and e and f:
+                            num2 = base + dd * e * f + a * dd * dd
+                            cc2, rem2 = divmod(num2, den)
+                            if rem2 == 0 and cc2 >= b and gcd(a, b, cc2, dd, e, f) == 1:
+                                candidates.add((a, b, cc2, -dd, -e, -f))
+    return candidates
+
+
+def _ref_parallel(u, v):
+    return (
+        u[0] * v[1] == u[1] * v[0]
+        and u[0] * v[2] == u[2] * v[0]
+        and u[1] * v[2] == u[2] * v[1]
+    )
+
+
+def _ref_minima(form):
+    d = form.disc()
+    lam1 = min(v for _, v in ref_short_vectors(form, _icbrt(d // 2) + 1))
+    vecs = ref_short_vectors(form, max(isqrt(d // lam1), 2 * lam1) + 1)
+    vecs.sort(key=lambda p: p[1])
+    first = next(v for v, val in vecs if val == lam1)
+    lam2 = next(val for v, val in vecs if not _ref_parallel(v, first))
+    return lam1, lam2
+
+
+def ref_reduce_search(form, lam1, lam2, bound):
+    # form.bilinear(u, v) with u^T G taken once per vector: same values.
+    g = form.gram2()
+
+    def row(u):
+        return tuple(sum(u[i] * g[i][j] for i in range(3)) for j in range(3))
+
+    by_value = {}
+    for v, val in ref_short_vectors(form, bound):
+        by_value.setdefault(val, []).append(v)
+    pairs = []
+    for v1 in by_value[lam1]:
+        r1 = row(v1)
+        for v2 in by_value[lam2]:
+            fcoef = r1[0] * v2[0] + r1[1] * v2[1] + r1[2] * v2[2]
+            if abs(fcoef) <= lam1:
+                pairs.append((v1, v2, r1, row(v2), fcoef))
+    best = None
+    best_basis = None
+    for cval in sorted(v for v in by_value if v >= lam2):
+        for v1, v2, (a0, a1, a2), (b0, b1, b2), fcoef in pairs:
+            for v3 in by_value[cval]:
+                x, y, z = v3
+                ecoef = a0 * x + a1 * y + a2 * z
+                if abs(ecoef) > lam1:
+                    continue
+                dcoef = b0 * x + b1 * y + b2 * z
+                if abs(dcoef) > lam2:
+                    continue
+                if mat_det(mat_transpose((v1, v2, v3))) not in (1, -1):
+                    continue
+                key = (lam1, lam2, cval, dcoef, ecoef, fcoef)
+                if best is None or key < best:
+                    best = key
+                    best_basis = (v1, v2, v3)
+        if best is not None:
+            return best, best_basis
+    return None
+
+
+def ref_reduce_with_transform(form):
+    d = form.disc()
+    lam1, lam2 = _ref_minima(form)
+    hard_bound = d // (3 * lam1 * lam2) + lam2 + 1
+    bound = min(hard_bound, max(lam2 + 1, 2 * _icbrt(d)))
+    while True:
+        found = ref_reduce_search(form, lam1, lam2, bound)
+        if found is not None:
+            best, basis = found
+            return TernaryForm(*best), mat_transpose(basis)
+        bound = min(2 * bound, hard_bound)
+
+
+def test_short_vectors_rows_follow_the_point_order():
+    for form in (I3, TernaryForm(3, 8, 8, -7, 2, 2), TernaryForm(7, 11, 20, -8, 4, 6)):
+        for bound in (-1, 0, 1, 30, 200):
+            rows = short_vectors(form, bound)
+            assert rows.shape == (len(rows), 4)
+            assert [((x, y, z), v) for x, y, z, v in rows.tolist()] == (
+                ref_short_vectors(form, bound)
+            )
+
+
+@pytest.mark.parametrize(
+    "discs",
+    [range(1, 301), range(301, 601), (4624,), (16 * 23 * 23,)],
+    ids=["1-300", "301-600", "4624", "8464"],
+)
+def test_array_scan_and_search_match_the_loop_code(discs):
+    for disc in discs:
+        candidates = ref_candidates(disc)
+        assert _candidates(disc) == candidates, disc
+        for t in candidates:
+            form = TernaryForm(*t)
+            assert reduce_form_with_transform(form) == (
+                ref_reduce_with_transform(form)
+            ), t
+
+
+def test_int64_certificates_fail_at_once():
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_classes(2**62)
+    with pytest.raises(ValueError, match="int64"):
+        short_vectors(I3, 2**62)
