@@ -273,29 +273,53 @@ def s_of_n(n: int) -> int:
     return rep_count_ternary(identity_form(), n)
 
 
-def s_table(n_max: int) -> np.ndarray:
-    """s(0..n_max) in one sweep: enumerate all (a,b) pairs, then fold in z^2.
+# Every point of x^2 + y^2 + z^2 = n has |x|, |y| <= isqrt(n), and each
+# (x, y) leaves at most two z, so s(n) <= 2*(2*isqrt(n) + 1)^2.  That is
+# below 2^31 exactly while isqrt(n) <= 16383, i.e. n < 16384^2.
+_S_MAX = 16384 * 16384 - 1
+# Output entries summed per block: 512 KB of int32, which stays in L2.
+_S_BLOCK = 1 << 17
 
-    Works in int64; counts here stay far below 2^40 so no overflow is
-    possible (r2 <= 4*d(n), s(n) <= sum of r2 values at one index).
+
+def s_table(n_max: int) -> np.ndarray:
+    """s(0..n_max) as an int32 array, from s(n) = r2(n) + 2*sum r2(n - z^2).
+
+    r2 comes from enumerating every (a, b) with a^2 + b^2 <= n_max.  The
+    z-sum is then taken one output block of _S_BLOCK entries at a time,
+    in place in that block's slice of the result, so the partial sums
+    stay in cache while each z adds its shifted slice of r2.  All counts
+    fit int32 because s(n) <= 2*(2*isqrt(n) + 1)^2 < 2^31 for
+    n_max <= _S_MAX; a larger n_max raises ValueError before anything
+    is allocated.
     """
-    r2 = np.zeros(n_max + 1, dtype=np.int64)
+    if n_max > _S_MAX:
+        raise ValueError(
+            f"s table up to {n_max} overflows int32 "
+            f"(s(n) <= 2*(2*isqrt(n)+1)^2 < 2^31 needs n <= {_S_MAX})"
+        )
+    r2 = np.zeros(n_max + 1, dtype=np.int32)
     top = isqrt(n_max)
     squares = np.arange(top + 1, dtype=np.int64) ** 2
     for a in range(top + 1):
         rem = n_max - a * a
         k = isqrt(rem)
         idx = a * a + squares[: k + 1]
-        w = np.full(k + 1, 2, dtype=np.int64)
+        w = np.full(k + 1, 2, dtype=np.int32)
         w[0] = 1
         if a > 0:
             w *= 2
         r2[idx] += w
-    s = np.zeros(n_max + 1, dtype=np.int64)
-    for z in range(top + 1):
-        m = z * z
-        w = 2 if z > 0 else 1
-        s[m:] += w * r2[: n_max + 1 - m]
+    s = np.zeros(n_max + 1, dtype=np.int32)
+    for lo in range(0, n_max + 1, _S_BLOCK):
+        hi = min(lo + _S_BLOCK, n_max + 1)
+        block = s[lo:hi]
+        for z in range(1, isqrt(hi - 1) + 1):
+            m = z * z
+            start = max(lo, m)
+            tail = block[start - lo:]
+            tail += r2[start - m:hi - m]
+        block *= 2
+        block += r2[lo:hi]
     return s
 
 

@@ -322,11 +322,13 @@ def _weighted_sum(genus: Genus, thetas, n: int) -> Fraction:
 
 def verify_prop54(p: int, max_n: int) -> Prop54Report:
     """s(p^2 n) - p s(n) as 48 and -96 times automorph-weighted counts
-    over the two distinguished genera, checked exactly for 1 <= n <= max_n."""
+    over the two distinguished genera, checked exactly for 1 <= n <= max_n.
+
+    The s table comes first: a size it refuses fails before any genus work."""
+    table = s_table(p * p * max_n)
     genus1, genus2 = tg1(p), tg2(p)
     t1 = [evaluate(theta3(*m.as_tuple()), max_n) for m in genus1.members]
     t2 = [evaluate(theta3(*m.as_tuple()), max_n) for m in genus2.members]
-    table = s_table(p * p * max_n)
     first_fail = None
     for n in range(1, max_n + 1):
         lhs = int(table[p * p * n]) - p * int(table[n])

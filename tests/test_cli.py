@@ -215,3 +215,26 @@ def test_int64_bound_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "int64" in err
+
+
+def test_s_max_beyond_the_int32_certificate_is_a_usage_error(capsys):
+    code, out, err = run_cli(["s", "--max", "268435456"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "int32" in err
+
+
+def test_prop54_refuses_a_huge_table_before_any_genus_work(monkeypatch, capsys):
+    from threesquares import verify
+
+    def unreachable(p):
+        raise AssertionError("genus work before the s table size check")
+
+    monkeypatch.setattr(verify, "tg1", unreachable)
+    monkeypatch.setattr(verify, "tg2", unreachable)
+    code, out, err = run_cli(
+        ["prop54", "--p", "23", "--max-n", "600000"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "int32" in err

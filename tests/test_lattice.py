@@ -1,9 +1,14 @@
 """Lattice counting: brute-force oracles, bound sufficiency, constraints."""
 
 import random
+import tracemalloc
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from threesquares import lattice
 from threesquares import qseries as qs
 from threesquares.lattice import (
     BinaryForm,
@@ -61,6 +66,72 @@ def test_s_table_matches_single_counts():
     theta = theta_series_ternary(identity_form(), 200)
     for n in range(201):
         assert int(table[n]) == s_of_n(n) == theta[n]
+
+
+def reference_s_table(n_max):
+    """The z-loop table: one full-length int64 pass per z <= isqrt(n_max)."""
+    r2 = np.zeros(n_max + 1, dtype=np.int64)
+    top = isqrt(n_max)
+    squares = np.arange(top + 1, dtype=np.int64) ** 2
+    for a in range(top + 1):
+        k = isqrt(n_max - a * a)
+        idx = a * a + squares[: k + 1]
+        w = np.full(k + 1, 2, dtype=np.int64)
+        w[0] = 1
+        if a > 0:
+            w *= 2
+        r2[idx] += w
+    s = np.zeros(n_max + 1, dtype=np.int64)
+    for z in range(top + 1):
+        m = z * z
+        w = 2 if z > 0 else 1
+        s[m:] += w * r2[: n_max + 1 - m]
+    return s
+
+
+def assert_same_table(n_max):
+    table = s_table(n_max)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, reference_s_table(n_max)), n_max
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_s_table_matches_the_z_loop_at_every_block_edge(monkeypatch, block):
+    monkeypatch.setattr(lattice, "_S_BLOCK", block)
+    for n_max in range(301):
+        assert_same_table(n_max)
+
+
+@pytest.mark.parametrize(
+    "n_max", [2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5]
+)
+def test_blocked_s_table_matches_the_z_loop_at_the_real_block_size(n_max):
+    assert lattice._S_BLOCK == 2**17
+    assert_same_table(n_max)
+
+
+def test_s_table_int32_certificate():
+    # s(n) <= 2*(2*isqrt(n)+1)^2 is below 2^31 up to _S_MAX and no further.
+    top = lattice._S_MAX
+    assert 2 * (2 * isqrt(top) + 1) ** 2 < 2**31 <= 2 * (2 * isqrt(top + 1) + 1) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int32"):
+            s_table(lattice._S_MAX + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2000))
+def test_four_routes_to_s_agree(n_max):
+    table = s_table(n_max)
+    theta = theta_series_ternary(identity_form(), n_max)
+    cube = qs.phi(n_max).pow(3)
+    for n in range(n_max + 1):
+        assert int(table[n]) == theta[n] == cube[n] == s_of_n(n), n
 
 
 def test_theta_ternary_equals_phi_cubed():
