@@ -53,7 +53,7 @@ def _emit(
 ) -> None:
     """Write the rows, then the trailer lines, to --output or stdout."""
     if fmt == "json":
-        text = "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n"
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_genus = sub.add_parser("genus", help="genus reports")
     p_genus.add_argument("--p", type=int, help="odd prime: the two genera")
     p_genus.add_argument("--disc", type=int, help="list genera of one discriminant")
-    p_genus.add_argument("--all", action="store_true", help="(with --disc)")
     p_genus.add_argument("--max-n", type=int, default=500)
     p_genus.set_defaults(func=_cmd_genus)
 
@@ -288,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_n", 0) < 0:
+        raise UsageError("--max-n must be non-negative")
     try:
         return args.func(args)
     except UsageError:

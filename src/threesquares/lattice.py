@@ -5,6 +5,11 @@ discriminants), never floating point, so every reported count is provably
 complete.  Ternary forms are written a*x^2 + b*y^2 + c*z^2 + d*yz + e*zx
 + f*xy and binary forms a*m^2 + b*mn + c*n^2, optionally with a linear
 part (u, v) and a constant shift added to the exponent.
+
+Points come from one row generator per arity (_ternary_rows; the n-loop
+of theta_series_binary) and one expansion of rows into int64 arrays,
+_spread.  short_vectors and theta_series_binary each prove their int64
+bound before expanding, or raise ValueError.
 """
 
 from __future__ import annotations
@@ -115,11 +120,6 @@ class Constraint:
             if any(not 0 <= r < self.modulus for r in t):
                 raise ValueError("constraint residues must lie in [0, modulus)")
 
-    def arity(self) -> int | None:
-        for t in self.allowed:
-            return len(t)
-        return None
-
 
 def _x_range(aa: int, bb: int, cc: int, n: int):
     """Integer solutions of aa*x^2 + bb*x + cc <= n (aa > 0), as lo, hi.
@@ -164,58 +164,60 @@ def _ternary_rows(form: TernaryForm, bound: int):
             step += 2 * b
 
 
-def _ternary_points(form: TernaryForm, bound: int):
-    """Yield (x, y, z, value) for all integer triples with value <= bound."""
-    a = form.a
-    for y, z, b1, c1 in _ternary_rows(form, bound):
-        xlo, xhi = _x_range(a, b1, c1, bound)
-        val = a * xlo * xlo + b1 * xlo + c1
-        step = a * (2 * xlo + 1) + b1
-        for x in range(xlo, xhi + 1):
-            yield x, y, z, val
-            val += step
-            step += 2 * a
+def _spread(a: int, rows: list, ncoord: int) -> np.ndarray:
+    """Expand runs (xlo, count, b1, c1, *coords) into rows (x, *coords, value).
+
+    A run is x = xlo .. xlo + count - 1 with value a*x^2 + b1*x + c1; rows
+    come out run by run, x ascending.  The caller certifies int64.
+    """
+    runs = np.array(rows, dtype=np.int64).reshape(len(rows), ncoord + 4)
+    xlo, count, b1, c1, *coords = runs.T
+    starts = np.cumsum(count) - count
+    out = np.empty((int(count.sum()), ncoord + 2), dtype=np.int64)
+    x = out[:, 0]
+    x[:] = np.repeat(xlo - starts, count)
+    x += np.arange(len(out), dtype=np.int64)
+    for i, col in enumerate(coords, 1):
+        out[:, i] = np.repeat(col, count)
+    val = out[:, -1]
+    np.multiply(x, a, out=val)
+    val += np.repeat(b1, count)
+    val *= x
+    val += np.repeat(c1, count)
+    return out
+
+
+def _histogram(trunc: int, points: np.ndarray, constraint) -> np.ndarray:
+    """Counts of the values 0..trunc in the last column of points.
+
+    A constraint keeps the rows whose coordinates' residues are allowed in
+    its boolean table of shape (modulus,) * arity.
+    """
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
+    values = points[:, -1]
+    if constraint is not None:
+        arity = points.shape[1] - 1
+        if any(len(t) != arity for t in constraint.allowed):
+            raise ValueError(f"constraint arity does not match {arity} variables")
+        table = np.zeros((constraint.modulus,) * arity, dtype=bool)
+        for t in constraint.allowed:
+            table[t] = True
+        values = values[table[tuple((points[:, :-1] % constraint.modulus).T)]]
+    return np.bincount(values, minlength=trunc + 1)
 
 
 def theta_series_ternary(
     form: TernaryForm, trunc: int, constraint: Constraint | None = None
 ) -> QSeries:
-    """Theta series: coefficient of q^n counts triples with form value n."""
-    out = [0] * (trunc + 1)
-    if constraint is None:
-        for _x, _y, _z, val in _ternary_points(form, trunc):
-            out[val] += 1
-    else:
-        if constraint.arity() not in (None, 3):
-            raise ValueError("constraint arity does not match 3 variables")
-        mod = constraint.modulus
-        allowed = constraint.allowed
-        for x, y, z, val in _ternary_points(form, trunc):
-            if (x % mod, y % mod, z % mod) in allowed:
-                out[val] += 1
-    return QSeries(trunc, tuple(out))
+    """Theta series: coefficient of q^n counts triples with form value n.
 
-
-def _binary_points(bform: BinaryForm, bound: int):
-    """Yield (m, n, value) over all integer pairs with value <= bound."""
-    a, b, c = bform.a, bform.b, bform.c
-    u, v = bform.linear
-    w = bform.const
-    # Minimizing over m first: n is admissible iff
-    # (4ac-b^2) n^2 + (4av-2bu) n + (4aw-u^2-4a*bound) <= 0.
-    nlo, nhi = _x_range(
-        4 * a * c - b * b, 4 * a * v - 2 * b * u, 4 * a * w - u * u, 4 * a * bound
-    )
-    for n in range(nlo, nhi + 1):
-        b1 = b * n + u
-        c1 = c * n * n + v * n + w
-        mlo, mhi = _x_range(a, b1, c1, bound)
-        val = a * mlo * mlo + b1 * mlo + c1
-        step = a * (2 * mlo + 1) + b1
-        for m in range(mlo, mhi + 1):
-            yield m, n, val
-            val += step
-            step += 2 * a
+    The nonzero triples are the rows of short_vectors(form, trunc); the
+    origin is counted by the same constraint rule.
+    """
+    counts = _histogram(trunc, short_vectors(form, trunc), constraint)
+    counts[0] += _histogram(0, np.zeros((1, 4), dtype=np.int64), constraint)[0]
+    return QSeries(trunc, tuple(counts.tolist()))
 
 
 def theta_series_binary(
@@ -223,23 +225,39 @@ def theta_series_binary(
 ) -> QSeries:
     """Theta series of a binary form, affine part included in the exponent.
 
-    An affine instance that reaches a negative exponent signals a
-    misconfigured series and raises.
+    One _spread run of m per admissible n.  Both |m| and |n| are at most
+    xm (complete the square in the other variable), which certifies int64
+    before any array is built.  A failed bound raises ValueError, as does
+    an affine instance that reaches a negative exponent.
     """
-    out = [0] * (trunc + 1)
-    if constraint is not None and constraint.arity() not in (None, 2):
-        raise ValueError("constraint arity does not match 2 variables")
-    mod = constraint.modulus if constraint is not None else 1
-    allowed = constraint.allowed if constraint is not None else None
-    for m, n, val in _binary_points(bform, trunc):
-        if val < 0:
-            raise ValueError(
-                f"affine exponent {val} is negative at (m,n)=({m},{n})"
-            )
-        if allowed is not None and (m % mod, n % mod) not in allowed:
-            continue
-        out[val] += 1
-    return QSeries(trunc, tuple(out))
+    a, b, c = bform.as_tuple()
+    u, v = bform.linear
+    w = bform.const
+    # n is admissible iff (4ac-b^2) n^2 + (4av-2bu) n + (4aw-u^2) <= 4a*trunc,
+    # and m iff the same holds with a, c and u, v swapped.
+    d = 4 * a * c - b * b
+    nlo, nhi = _x_range(d, 4 * a * v - 2 * b * u, 4 * a * w - u * u, 4 * a * trunc)
+    mlo, mhi = _x_range(d, 4 * c * u - 2 * b * v, 4 * c * w - v * v, 4 * c * trunc)
+    xm = max(abs(mlo), abs(mhi), abs(nlo), abs(nhi))
+    worst = (a + abs(b) + c) * xm * xm + (abs(u) + abs(v)) * xm + abs(w)
+    if worst >= _INT64_SAFE:
+        raise ValueError(
+            f"binary theta up to {trunc} of {bform} overflows int64 "
+            f"(worst intermediate {worst} >= 2^62)"
+        )
+    rows = []
+    for n in range(nlo, nhi + 1):
+        b1 = b * n + u
+        c1 = c * n * n + v * n + w
+        lo, hi = _x_range(a, b1, c1, trunc)
+        if lo <= hi:
+            rows.append((lo, hi - lo + 1, b1, c1, n))
+    points = _spread(a, rows, 1)
+    negative = np.flatnonzero(points[:, 2] < 0)
+    if len(negative):
+        m, n, val = points[negative[0]].tolist()
+        raise ValueError(f"affine exponent {val} is negative at (m,n)=({m},{n})")
+    return QSeries(trunc, tuple(_histogram(trunc, points, constraint).tolist()))
 
 
 def rep_count_ternary(form: TernaryForm, n: int) -> int:
@@ -326,12 +344,12 @@ def s_table(n_max: int) -> np.ndarray:
 def short_vectors(form: TernaryForm, bound: int) -> np.ndarray:
     """All integer triples v != 0 with form(v) <= bound, with their values.
 
-    One (n, 4) int64 array of rows (x, y, z, value), in the order of
-    _ternary_points.  The rows come from _ternary_rows in Python; the x
-    runs inside each row are spread out with np.repeat.  Every coordinate
-    obeys x_i^2 <= bound * adj(G)_ii / disc (adj of the doubled Gram G),
-    so bounding each term of a*x^2 + b1*x + c1 by those maxima certifies
-    int64 before any array is built; a larger bound raises ValueError.
+    One (n, 4) int64 array of rows (x, y, z, value), row by row in the
+    order of _ternary_rows with x ascending (one _spread run per row).
+    Every coordinate obeys x_i^2 <= bound * adj(G)_ii / disc (adj of the
+    doubled Gram G), so bounding each term of a*x^2 + b1*x + c1 by those
+    maxima certifies int64 before any array is built; a larger bound
+    raises ValueError.
     """
     a, b, c, d, e, f = form.as_tuple()
     disc = form.disc()
@@ -354,23 +372,8 @@ def short_vectors(form: TernaryForm, bound: int) -> np.ndarray:
         xlo, xhi = _x_range(a, b1, c1, bound)
         if y == z == 0:
             # The row through the origin is xlo..-xlo; leave out x = 0.
-            rows.append((xlo, -xlo, y, z, b1, c1))
+            rows.append((xlo, -xlo, b1, c1, y, z))
             xlo = 1
         if xlo <= xhi:
-            rows.append((xlo, xhi - xlo + 1, y, z, b1, c1))
-    if not rows:
-        return np.zeros((0, 4), dtype=np.int64)
-    xlo, count, y, z, b1, c1 = np.array(rows, dtype=np.int64).T
-    starts = np.cumsum(count) - count
-    out = np.empty((int(count.sum()), 4), dtype=np.int64)
-    x = out[:, 0]
-    x[:] = np.repeat(xlo - starts, count)
-    x += np.arange(len(out), dtype=np.int64)
-    out[:, 1] = np.repeat(y, count)
-    out[:, 2] = np.repeat(z, count)
-    val = out[:, 3]
-    np.multiply(x, a, out=val)
-    val += np.repeat(b1, count)
-    val *= x
-    val += np.repeat(c1, count)
-    return out
+            rows.append((xlo, xhi - xlo + 1, b1, c1, y, z))
+    return _spread(a, rows, 2)

@@ -25,7 +25,7 @@ from .catalog import (
     theta3,
 )
 from .forms import is_prime, legendre
-from .genera import Genus, HResult, find_h, tg1, tg2
+from .genera import Genus, HResult, _vanishes_mod4, find_h, tg1, tg2
 from .lattice import s_table
 
 
@@ -386,28 +386,19 @@ class SignatureReport:
 
 
 def verify_signature(p: int, max_n: int) -> SignatureReport:
-    """The pullback bijection and mod-4 vanishing of the second genus."""
+    """The pullback bijection and mod-4 vanishing of the second genus.
+
+    find_h pairs f with g only if f(4n) == g(n) for every n <= max_n.
+    """
     result: HResult = find_h(p, max_n)
-    if result.status != "ok":
-        return SignatureReport(
-            p, max_n, "fail", result.status, (), False, False
-        )
-    pullback_ok = True
-    vanishing_ok = True
-    for f, g in result.mapping:
-        tf = evaluate(theta3(*f.as_tuple()), 4 * max_n)
-        tg = evaluate(theta3(*g.as_tuple()), max_n)
-        if any(tf[4 * n] != tg[n] for n in range(max_n + 1)):
-            pullback_ok = False
-        if any(
-            tf[m] != 0 for m in range(1, max_n + 1) if m % 4 in (1, 2)
-        ):
-            vanishing_ok = False
-    ok = pullback_ok and vanishing_ok
+    pullback_ok = result.status == "ok"
+    vanishing_ok = pullback_ok and all(
+        _vanishes_mod4(f, max_n) for f, _g in result.mapping
+    )
     return SignatureReport(
         p,
         max_n,
-        "pass" if ok else "fail",
+        "pass" if vanishing_ok else "fail",
         result.status,
         tuple((f.as_tuple(), g.as_tuple()) for f, g in result.mapping),
         pullback_ok,

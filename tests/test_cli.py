@@ -86,7 +86,7 @@ def test_genus_report(capsys):
 
 def test_genus_disc_listing(capsys):
     code, out, _ = run_cli(
-        ["genus", "--disc", "4624", "--all", "--format", "json"], capsys
+        ["genus", "--disc", "4624", "--format", "json"], capsys
     )
     assert code == 0
     docs = [json.loads(line) for line in out.strip().splitlines()]
@@ -238,3 +238,20 @@ def test_prop54_refuses_a_huge_table_before_any_genus_work(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "int32" in err
+
+
+def test_zero_row_json_report_is_empty(capsys):
+    # Discriminant 1 has no positive ternary form: no JSON lines at all.
+    code, out, err = run_cli(["genus", "--disc", "1", "--format", "json"], capsys)
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prop54", "--p", "3", "--max-n", "-5"], ["genus", "--p", "7", "--max-n", "-1"]],
+    ids=["prop54", "genus"],
+)
+def test_negative_max_n_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n must be non-negative\n"

@@ -7,7 +7,6 @@ import pytest
 
 from threesquares.lattice import (
     TernaryForm,
-    _ternary_points,
     short_vectors,
     theta_series_ternary,
 )
@@ -30,6 +29,8 @@ from threesquares.forms import (
     reduce_form,
     reduce_form_with_transform,
 )
+
+from test_lattice import ref_ternary_points
 
 I3 = TernaryForm(1, 1, 1, 0, 0, 0)
 
@@ -189,7 +190,7 @@ def test_is_prime():
 def ref_short_vectors(form, bound):
     return [
         ((x, y, z), val)
-        for x, y, z, val in _ternary_points(form, bound)
+        for x, y, z, val in ref_ternary_points(form, bound)
         if (x, y, z) != (0, 0, 0)
     ]
 

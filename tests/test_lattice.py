@@ -1,12 +1,13 @@
 """Lattice counting: brute-force oracles, bound sufficiency, constraints."""
 
 import random
+import re
 import tracemalloc
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from threesquares import lattice
 from threesquares import qseries as qs
@@ -21,7 +22,7 @@ from threesquares.lattice import (
     theta_series_binary,
     theta_series_ternary,
 )
-from threesquares.lattice import _x_range
+from threesquares.lattice import _ternary_rows, _x_range
 
 
 def brute_count(form, n, box):
@@ -42,6 +43,163 @@ def random_posdef(rng):
             return TernaryForm(a, b, c, d, e, f)
         except ValueError:
             continue
+
+
+# -- per-point reference: the loop code the array expansion replaced ---------
+
+
+def ref_ternary_points(form, bound):
+    """Yield (x, y, z, value) for all integer triples with value <= bound."""
+    a = form.a
+    for y, z, b1, c1 in _ternary_rows(form, bound):
+        xlo, xhi = _x_range(a, b1, c1, bound)
+        val = a * xlo * xlo + b1 * xlo + c1
+        step = a * (2 * xlo + 1) + b1
+        for x in range(xlo, xhi + 1):
+            yield x, y, z, val
+            val += step
+            step += 2 * a
+
+
+def ref_binary_points(bform, bound):
+    """Yield (m, n, value) over all integer pairs with value <= bound."""
+    a, b, c = bform.a, bform.b, bform.c
+    u, v = bform.linear
+    w = bform.const
+    nlo, nhi = _x_range(
+        4 * a * c - b * b, 4 * a * v - 2 * b * u, 4 * a * w - u * u, 4 * a * bound
+    )
+    for n in range(nlo, nhi + 1):
+        b1 = b * n + u
+        c1 = c * n * n + v * n + w
+        mlo, mhi = _x_range(a, b1, c1, bound)
+        val = a * mlo * mlo + b1 * mlo + c1
+        step = a * (2 * mlo + 1) + b1
+        for m in range(mlo, mhi + 1):
+            yield m, n, val
+            val += step
+            step += 2 * a
+
+
+def ref_theta_ternary(form, trunc, constraint=None):
+    out = [0] * (trunc + 1)
+    if constraint is None:
+        for _x, _y, _z, val in ref_ternary_points(form, trunc):
+            out[val] += 1
+    else:
+        if any(len(t) != 3 for t in constraint.allowed):
+            raise ValueError("constraint arity does not match 3 variables")
+        mod = constraint.modulus
+        allowed = constraint.allowed
+        for x, y, z, val in ref_ternary_points(form, trunc):
+            if (x % mod, y % mod, z % mod) in allowed:
+                out[val] += 1
+    return qs.QSeries(trunc, tuple(out))
+
+
+def ref_theta_binary(bform, trunc, constraint=None):
+    out = [0] * (trunc + 1)
+    if constraint is not None and any(len(t) != 2 for t in constraint.allowed):
+        raise ValueError("constraint arity does not match 2 variables")
+    mod = constraint.modulus if constraint is not None else 1
+    allowed = constraint.allowed if constraint is not None else None
+    for m, n, val in ref_binary_points(bform, trunc):
+        if val < 0:
+            raise ValueError(
+                f"affine exponent {val} is negative at (m,n)=({m},{n})"
+            )
+        if allowed is not None and (m % mod, n % mod) not in allowed:
+            continue
+        out[val] += 1
+    return qs.QSeries(trunc, tuple(out))
+
+
+@st.composite
+def constraints(draw, arity):
+    """None, or a random set of allowed residue tuples modulo 2..4."""
+    if draw(st.booleans()):
+        return None
+    mod = draw(st.integers(2, 4))
+    residue = st.tuples(*[st.integers(0, mod - 1)] * arity)
+    return Constraint(mod, frozenset(draw(st.sets(residue))))
+
+
+def same_outcome(array_route, reference):
+    """Both return the same series, or both raise the same ValueError."""
+    try:
+        expected = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            array_route()
+        assert str(got.value) == str(exc)
+    else:
+        assert array_route() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.tuples(*[st.integers(1, 9)] * 3, *[st.integers(-6, 6)] * 3),
+    trunc=st.integers(0, 300),
+    constraint=constraints(3),
+)
+def test_ternary_theta_matches_the_point_loop(coeffs, trunc, constraint):
+    a, b, c, d, e, f = coeffs
+    assume(4 * a * b > f * f)
+    assume(4 * a * b * c + d * e * f > a * d * d + b * e * e + c * f * f)
+    form = TernaryForm(*coeffs)
+    same_outcome(
+        lambda: theta_series_ternary(form, trunc, constraint),
+        lambda: ref_theta_ternary(form, trunc, constraint),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    abc=st.tuples(st.integers(1, 8), st.integers(-8, 8), st.integers(1, 8)),
+    linear=st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+    const=st.integers(-6, 30),
+    trunc=st.integers(0, 300),
+    constraint=constraints(2),
+)
+def test_binary_theta_matches_the_point_loop(abc, linear, const, trunc, constraint):
+    a, b, c = abc
+    assume(b * b < 4 * a * c)
+    bform = BinaryForm(a, b, c, linear, const)
+    same_outcome(
+        lambda: theta_series_binary(bform, trunc, constraint),
+        lambda: ref_theta_binary(bform, trunc, constraint),
+    )
+
+
+def test_negative_affine_exponent_names_the_first_point():
+    # m^2 + n^2 + 3m - 1 is least (-3) at n = 0, but rows run n upwards
+    # and m upwards within a row, so (-2, -1) is the first negative point.
+    bad = BinaryForm(1, 0, 1, linear=(3, 0), const=-1)
+    message = "affine exponent -2 is negative at (m,n)=(-2,-1)"
+    for theta in (theta_series_binary, ref_theta_binary):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            theta(bad, 20)
+
+
+def test_binary_int64_certificate_fails_before_any_array(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("points expanded before the int64 bound")
+
+    monkeypatch.setattr(lattice, "_spread", no_expansion)
+    shifted = 1 << 40  # (m + 2^40)^2 + n^2: small values, huge m
+    cases = [
+        (BinaryForm(1, 0, 1), 1 << 62),
+        (BinaryForm(1, 0, 1, (2 * shifted, 0), shifted * shifted), 10),
+    ]
+    tracemalloc.start()
+    try:
+        for bform, trunc in cases:
+            with pytest.raises(ValueError, match="int64"):
+                theta_series_binary(bform, trunc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rep_count_examples():
@@ -223,17 +381,13 @@ def test_enumeration_bounds_survive_box_doubling():
     # Rescan a box twice as wide (per coordinate) as anything the exact
     # bounds visited; the histograms must agree coefficient for
     # coefficient, so the derived bounds were already sufficient.
-    import numpy as np
-
-    from threesquares.lattice import _ternary_points
-
     rng = random.Random(20260808)
     for _ in range(10):
         form = random_posdef(rng)
         theta = theta_series_ternary(form, 200)
         reach = max(
             max(abs(x), abs(y), abs(z))
-            for x, y, z, _ in _ternary_points(form, 200)
+            for x, y, z, _ in ref_ternary_points(form, 200)
         )
         box = 2 * reach + 1
         span = np.arange(-box, box + 1, dtype=np.int64)
