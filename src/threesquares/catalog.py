@@ -151,7 +151,10 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
     """Evaluate an expression tree exactly at the given truncation order.
 
     Sift nodes request the deeper order t*order + s from their child, so
-    the result is exact to the requested order at every level.
+    the result is exact to the requested order at every level.  A sift
+    of a product asks for its two factors at that order instead (see
+    _two_factors).  Every subtree is evaluated through this function, so
+    each memo miss adds exactly one entry.
     """
     key = (expr, order)
     hit = _CACHE.get(key)
@@ -205,11 +208,32 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
         out = evaluate(expr[1], order).alternate()
     elif op == "sift":
         t, s = expr[1], expr[2]
-        out = evaluate(expr[3], t * order + s).sift(t, s)
+        deep = t * order + s
+        factors = _two_factors(expr[3])
+        if factors is None:
+            out = evaluate(expr[3], deep).sift(t, s)
+        else:
+            x, y = (evaluate(f, deep) for f in factors)
+            out = qs._conv(x, y, t, s, order)
     else:
         raise ValueError(f"unknown expression node {op!r}")
     _CACHE[key] = out
     return out
+
+
+def _two_factors(expr: tuple):
+    """Two trees whose product is expr, when it is a pow (k >= 2) or a mul.
+
+    A sift of a product then needs only the sifted coefficients of one
+    convolution; the product itself is never built at the deep order.
+    """
+    if expr[0] == "pow" and expr[2] >= 2:
+        base, k = expr[1], expr[2]
+        return base, base if k == 2 else power(base, k - 1)
+    if expr[0] == "mul" and len(expr) > 2:
+        rest = expr[1:-1]
+        return rest[0] if len(rest) == 1 else mul(*rest), expr[-1]
+    return None
 
 
 # -- the catalog --------------------------------------------------------------

@@ -217,7 +217,7 @@ def theta_series_ternary(
     """
     counts = _histogram(trunc, short_vectors(form, trunc), constraint)
     counts[0] += _histogram(0, np.zeros((1, 4), dtype=np.int64), constraint)[0]
-    return QSeries(trunc, tuple(counts.tolist()))
+    return QSeries(trunc, counts)
 
 
 def theta_series_binary(
@@ -257,7 +257,7 @@ def theta_series_binary(
     if len(negative):
         m, n, val = points[negative[0]].tolist()
         raise ValueError(f"affine exponent {val} is negative at (m,n)=({m},{n})")
-    return QSeries(trunc, tuple(_histogram(trunc, points, constraint).tolist()))
+    return QSeries(trunc, _histogram(trunc, points, constraint))
 
 
 def rep_count_ternary(form: TernaryForm, n: int) -> int:

@@ -1,9 +1,25 @@
 """Exact truncated formal power series in q over the integers.
 
-A series is a frozen value: a truncation order N and the exact
-coefficients of q^0 .. q^N.  Every operation returns a fresh series and
-is exact for all exponents up to the truncation order.  Coefficients are
-Python integers, so results never wrap or lose precision.
+A series is a value: a truncation order N and the exact coefficients
+of q^0 .. q^N.  Every operation returns a fresh series and is exact for
+all exponents up to the truncation order.
+
+Storage is one read-only numpy array.  Its dtype is int64 when every
+coefficient is below 2^62 in absolute value, and `object` (exact Python
+integers) otherwise; the same slice code runs on both.  Each series
+keeps the exact max-abs of its coefficients, and an operation runs on
+int64 only when a bound derived from its operands' max-abs proves every
+partial result stays below 2^62:
+  add, sub       bound(x) + bound(y)
+  scale by k     |k| * bound(x)
+  product        nz * bound(x) * bound(y), nz the nonzero count of the
+                 side that is looped over (see _conv)
+  prod_ap        a running bound over the binomial steps, recomputed
+                 from the array before the certificate is given up
+A failed certificate never raises: the operation runs on the object
+dtype, and the result is stored as int64 again if its values fit.
+Truncation and sifting are array views; read-only arrays let the
+catalog memo and those views share memory safely.
 
 Combining series with different truncation orders is an error rather
 than a silent re-truncation: long derivation chains must not lose
@@ -12,49 +28,102 @@ precision by accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-# Threshold under which a convolution provably fits in int64 (see _mul_numpy).
+# Every int64 coefficient, and every partial sum an int64 operation may
+# form, stays below this bound in absolute value.
 _INT64_SAFE = 1 << 62
+
+# The outer-product path of _conv: pairs per chunk, and the cost of one
+# pair in slice multiply-adds (11 to 26 measured on phi*phi to order
+# 529 000).  The path wins while the denser side has fewer nonzeros
+# than the output length / _OUTER_COST.
+_OUTER_CHUNK = 1 << 18
+_OUTER_COST = 16
 
 
 class TruncationMismatch(ValueError):
     """Two series with different truncation orders were combined."""
 
 
-@dataclass(frozen=True)
+def _max_abs(arr: np.ndarray) -> int:
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _dtype(bound: int):
+    """The dtype an operation whose partial results are below bound runs on."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _from_ints(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class QSeries:
     """Integer power series known exactly for exponents 0..trunc."""
 
-    trunc: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("trunc", "array", "bound", "_coeffs")
 
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
+    def __init__(self, trunc: int, coeffs) -> None:
+        """coeffs: a sequence of ints, or an integer array the series takes over."""
+        if trunc < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(self.coeffs) != self.trunc + 1:
-            raise ValueError(
-                f"need {self.trunc + 1} coefficients, got {len(self.coeffs)}"
-            )
+        arr = coeffs if isinstance(coeffs, np.ndarray) else _from_ints(coeffs)
+        if arr.ndim != 1 or len(arr) != trunc + 1:
+            raise ValueError(f"need {trunc + 1} coefficients, got {len(arr)}")
+        if arr.dtype != object:
+            arr = arr.astype(np.int64, copy=False)
+        # The exact max-abs picks the dtype: int64 below 2^62, else object.
+        bound = _max_abs(arr)
+        arr = arr.astype(_dtype(bound), copy=False)
+        arr.flags.writeable = False
+        self.trunc = trunc
+        self.array = arr
+        self.bound = bound
+        self._coeffs = None
 
     # -- basic access ----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients as a tuple of Python ints (built once, on demand)."""
+        if self._coeffs is None:
+            self._coeffs = tuple(self.array.tolist())
+        return self._coeffs
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.trunc:
             raise IndexError(f"exponent {n} outside known range 0..{self.trunc}")
-        return self.coeffs[n]
+        return self.array.item(n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return (
+            self.trunc == other.trunc
+            and self.bound == other.bound
+            and bool(np.array_equal(self.array, other.array))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.trunc, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"QSeries(trunc={self.trunc}, coeffs={self.coeffs!r})"
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.bound == 0
 
     def truncate(self, new_trunc: int) -> "QSeries":
         """Forget coefficients above new_trunc (new_trunc <= trunc)."""
         if new_trunc > self.trunc:
             raise ValueError("cannot extend a series by truncating")
-        return QSeries(new_trunc, self.coeffs[: new_trunc + 1])
+        return QSeries(new_trunc, self.array[: new_trunc + 1])
 
     def _check(self, other: "QSeries") -> None:
         if self.trunc != other.trunc:
@@ -64,75 +133,63 @@ class QSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: "QSeries") -> "QSeries":
+    def _pair(self, other: "QSeries"):
         self._check(other)
-        return QSeries(
-            self.trunc, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        dt = _dtype(self.bound + other.bound)
+        return self.array.astype(dt, copy=False), other.array.astype(dt, copy=False)
+
+    def __add__(self, other: "QSeries") -> "QSeries":
+        a, b = self._pair(other)
+        return QSeries(self.trunc, a + b)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        return QSeries(
-            self.trunc, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self._pair(other)
+        return QSeries(self.trunc, a - b)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.trunc, tuple(-a for a in self.coeffs))
+        return QSeries(self.trunc, -self.array)
 
     def scale(self, k: int) -> "QSeries":
-        return QSeries(self.trunc, tuple(k * a for a in self.coeffs))
+        dt = _dtype(max(abs(k), 1) * max(self.bound, 1))
+        return QSeries(self.trunc, self.array.astype(dt, copy=False) * k)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
-        n = self.trunc
-        a, b = self.coeffs, other.coeffs
-        nz_a = [j for j, c in enumerate(a) if c]
-        nz_b = [j for j, c in enumerate(b) if c]
-        if not nz_a or not nz_b:
-            return zero(n)
-        # Convolve from the sparser side.
-        if len(nz_b) < len(nz_a):
-            a, b, nz_a = b, a, nz_b
-        out = _mul_numpy(a, b, nz_a, n)
-        if out is None:
-            out = [0] * (n + 1)
-            for j in nz_a:
-                c = a[j]
-                for i in range(n + 1 - j):
-                    out[j + i] += c * b[i]
-        return QSeries(n, tuple(out))
+        return _conv(self, other, 1, 0, self.trunc)
 
     def pow(self, k: int) -> "QSeries":
         if k < 0:
             raise ValueError("negative power; use divide_exact")
-        result = one(self.trunc)
+        if k == 0:
+            return one(self.trunc)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def divide_exact(self, other: "QSeries") -> "QSeries":
         """Quotient Q with Q * other == self; other must have unit constant term."""
         self._check(other)
-        b0 = other.coeffs[0]
+        b0 = other[0]
         if b0 not in (1, -1):
             raise ValueError("divisor constant term must be +1 or -1")
         n = self.trunc
-        b = other.coeffs
-        nz_b = [j for j in range(1, n + 1) if b[j]]
-        q = [0] * (n + 1)
+        b = other.array.tolist()
+        nz_b = [(j, b[j]) for j in np.flatnonzero(other.array).tolist() if j]
+        q = self.array.tolist()
         for i in range(n + 1):
-            acc = self.coeffs[i]
-            for j in nz_b:
+            acc = q[i]
+            for j, c in nz_b:
                 if j > i:
                     break
-                acc -= b[j] * q[i - j]
+                acc -= c * q[i - j]
             q[i] = acc * b0  # b0 is +-1, so this is exact division
-        return QSeries(n, tuple(q))
+        return QSeries(n, q)
 
     # -- exponent transforms ----------------------------------------------
 
@@ -140,17 +197,15 @@ class QSeries:
         """Send q to q^k; exponents above the truncation order are dropped."""
         if k < 1:
             raise ValueError("dilation step must be >= 1")
-        out = [0] * (self.trunc + 1)
-        for j in range(self.trunc // k + 1):
-            out[j * k] = self.coeffs[j]
-        return QSeries(self.trunc, tuple(out))
+        out = np.zeros(self.trunc + 1, dtype=self.array.dtype)
+        out[::k] = self.array[: self.trunc // k + 1]
+        return QSeries(self.trunc, out)
 
     def alternate(self) -> "QSeries":
         """Send q to -q: negate every odd-exponent coefficient."""
-        return QSeries(
-            self.trunc,
-            tuple(-c if j & 1 else c for j, c in enumerate(self.coeffs)),
-        )
+        out = self.array.copy()
+        out[1::2] = -out[1::2]
+        return QSeries(self.trunc, out)
 
     def sift(self, t: int, s: int) -> "QSeries":
         """Keep coefficients at exponents congruent to s mod t, reindexed.
@@ -162,8 +217,7 @@ class QSeries:
             raise ValueError("sift needs 0 <= s < t")
         if self.trunc < s:
             raise ValueError("series too short to sift at this residue")
-        m = (self.trunc - s) // t
-        return QSeries(m, tuple(self.coeffs[t * k + s] for k in range(m + 1)))
+        return QSeries((self.trunc - s) // t, self.array[s::t])
 
     # -- serialization -----------------------------------------------------
 
@@ -175,79 +229,101 @@ class QSeries:
         return QSeries(int(data["trunc"]), tuple(int(c) for c in data["coeffs"]))
 
 
-def _mul_numpy(a, b, nz_a, n):
-    """int64 sparse-times-dense convolution when provably overflow-free.
+# -- the convolution kernel ---------------------------------------------------
 
-    Every partial sum is bounded by len(nz_a) * max|a| * max|b|, so the
-    result is exact whenever that bound stays below 2^62.  Returns None
-    when the bound cannot be certified; callers then use the unbounded
-    Python-integer path.
+
+def _conv(x: QSeries, y: QSeries, t: int, s: int, n: int) -> QSeries:
+    """Coefficients t*k + s, k = 0..n, of the product x*y, as a series of order n.
+
+    Both factors must be known to order t*n + s; plain multiplication is
+    t = 1, s = 0.  The sparser side is looped over: each of its nonzeros
+    j adds one strided slice of the other side, so the work is
+    nz * (n + 1) whatever t is.  Every output coefficient is a sum of at
+    most nz products, each at most bound(x) * bound(y), which certifies
+    int64; otherwise the loop runs on Python ints.  When the denser side
+    is also sparse next to the output length, the certified product
+    runs as an outer product of the two nonzero lists instead.
     """
-    max_a = max(abs(a[j]) for j in nz_a)
-    max_b = max(abs(c) for c in b)
-    if max_a * max_b * len(nz_a) >= _INT64_SAFE:
-        return None
-    try:
-        bb = np.array(b, dtype=np.int64)
-    except OverflowError:  # pragma: no cover - guarded by the bound above
-        return None
+    top = t * n + s
+    if x.trunc < top or y.trunc < top:
+        raise ValueError(f"factors known to order {min(x.trunc, y.trunc)}, need {top}")
+    a, b = x.array[: top + 1], y.array[: top + 1]
+    ja, jb = np.flatnonzero(a), np.flatnonzero(b)
+    if len(jb) < len(ja):
+        a, b, ja, jb = b, a, jb, ja
+    if not len(ja):
+        return zero(n)
+    dt = _dtype(len(ja) * x.bound * y.bound)
+    if dt is np.int64 and _OUTER_COST * len(jb) < n + 1:
+        return QSeries(n, _outer(a, b, ja, jb, t, s, n))
+    a, b = a.astype(dt, copy=False), b.astype(dt, copy=False)
+    out = np.zeros(n + 1, dtype=dt)
+    for j in ja.tolist():
+        k0 = max(0, -((s - j) // t))  # least k with t*k + s >= j
+        out[k0:] += a[j] * b[t * k0 + s - j :: t][: n + 1 - k0]
+    return QSeries(n, out)
+
+
+def _outer(a, b, ja, jb, t, s, n) -> np.ndarray:
+    """int64 sum of a[i]*b[j] into slot (i + j - s) / t, over nonzero pairs."""
     out = np.zeros(n + 1, dtype=np.int64)
-    for j in nz_a:
-        out[j:] += a[j] * bb[: n + 1 - j]
-    return [int(x) for x in out]
+    vb = b[jb]
+    step = max(1, _OUTER_CHUNK // len(jb))
+    for lo in range(0, len(ja), step):
+        i = ja[lo : lo + step, None]
+        e = i + jb - s
+        keep = (e >= 0) & (e <= t * n)
+        if t > 1:
+            keep &= e % t == 0
+        np.add.at(out, e[keep] // t, (a[i] * vb)[keep])
+    return out
 
 
 # -- constructors ---------------------------------------------------------
 
 
 def zero(trunc: int) -> QSeries:
-    return QSeries(trunc, (0,) * (trunc + 1))
+    return QSeries(trunc, np.zeros(trunc + 1, dtype=np.int64))
 
 
 def one(trunc: int) -> QSeries:
-    return QSeries(trunc, (1,) + (0,) * trunc)
+    return monomial(trunc, 0)
 
 
 def monomial(trunc: int, exponent: int, coeff: int = 1) -> QSeries:
     if not 0 <= exponent <= trunc:
         raise ValueError("monomial exponent outside 0..trunc")
-    out = [0] * (trunc + 1)
+    out = np.zeros(trunc + 1, dtype=_dtype(abs(coeff)))
     out[exponent] = coeff
-    return QSeries(trunc, tuple(out))
+    return QSeries(trunc, out)
+
+
+def _exponent_counts(exponents, trunc: int) -> QSeries:
+    """The series counting how often each exponent 0..trunc occurs."""
+    return QSeries(trunc, np.bincount(exponents, minlength=trunc + 1))
 
 
 def phi(trunc: int, step: int = 1) -> QSeries:
     """Sum of q^(step*n^2) over all integers n."""
-    out = [0] * (trunc + 1)
-    out[0] = 1
-    n = 1
-    while step * n * n <= trunc:
-        out[step * n * n] += 2
-        n += 1
-    return QSeries(trunc, tuple(out))
+    n = np.arange(1, isqrt(trunc // step) + 1, dtype=np.int64)
+    return _exponent_counts(np.concatenate(([0], np.repeat(step * n * n, 2))), trunc)
 
 
 def psi(trunc: int, step: int = 1) -> QSeries:
     """Sum of q^(step*n(n+1)/2) over n >= 0."""
-    out = [0] * (trunc + 1)
-    n = 0
-    while step * n * (n + 1) // 2 <= trunc:
-        out[step * n * (n + 1) // 2] += 1
-        n += 1
-    return QSeries(trunc, tuple(out))
+    n = np.arange(isqrt(8 * (trunc // step) + 1) // 2 + 1, dtype=np.int64)
+    e = step * (n * (n + 1) // 2)
+    return _exponent_counts(e[e <= trunc], trunc)
 
 
 def theta_f(r: int, s: int, trunc: int) -> QSeries:
     """Two-parameter theta sum of q^(r*n(n-1)/2 + s*n(n+1)/2) over all n."""
     if r < 1 or s < 1:
         raise ValueError("theta parameters must be positive")
-    out = [0] * (trunc + 1)
     bound = isqrt(4 * trunc // (r + s)) + 2
-    for n in range(-bound, bound + 1):
-        e = (r * n * (n - 1) + s * n * (n + 1)) // 2
-        if 0 <= e <= trunc:
-            out[e] += 1
-    return QSeries(trunc, tuple(out))
+    n = np.arange(-bound, bound + 1, dtype=np.int64)
+    e = (r * n * (n - 1) + s * n * (n + 1)) // 2
+    return _exponent_counts(e[(e >= 0) & (e <= trunc)], trunc)
 
 
 def theta_f_product(r: int, s: int, trunc: int) -> QSeries:
@@ -273,8 +349,21 @@ def prod_ap(factors, trunc: int) -> QSeries:
     exponent of zero at j = 0 is rejected), sign in {+1, -1} and e a
     nonzero integer; negative e divides instead of multiplying.
     """
-    co = [0] * (trunc + 1)
+    return QSeries(trunc, _expand_ap(factors, trunc))
+
+
+def _expand_ap(factors, trunc: int) -> np.ndarray:
+    """The coefficient array of prod_ap, on the dtype its last step ran on.
+
+    Multiplying by 1 + sign*q^m adds a shifted copy, so it at most
+    doubles the max-abs; dividing runs partial sums of at most
+    ceil((trunc + 1) / m) terms.  A running bound tracks this, and when
+    it would reach 2^62 the exact max-abs is taken from the array; if
+    that fails too, the rest of the product runs on Python ints.
+    """
+    co = np.zeros(trunc + 1, dtype=np.int64)
     co[0] = 1
+    bound = 1
     for a, b, sign, e in factors:
         if a < 1:
             raise ValueError("factor step must be >= 1")
@@ -288,29 +377,38 @@ def prod_ap(factors, trunc: int) -> QSeries:
         if e == 0:
             raise ValueError("factor exponent must be nonzero")
         for m in range(b, trunc + 1, a):
+            grow = 2 if e > 0 else -(-(trunc + 1) // m)
             for _ in range(abs(e)):
-                if e > 0:
-                    _mul_binomial(co, m, sign)
+                if co.dtype != object:
+                    if bound * grow >= _INT64_SAFE:
+                        bound = _max_abs(co)
+                    if bound * grow >= _INT64_SAFE:
+                        co = co.astype(object)
+                    bound *= grow
+                if e < 0:
+                    _divide_binomial(co, m, sign)
+                elif sign == 1:
+                    co[m:] += co[:-m]  # numpy buffers the overlapping read
                 else:
-                    _div_binomial(co, m, sign)
-    return QSeries(trunc, tuple(co))
+                    co[m:] -= co[:-m]
+    return co
 
 
-def _mul_binomial(co, m, c):
-    # In-place multiply by (1 + c*q^m); the comprehension reads the old
-    # values of both slices before assignment.
+def _divide_binomial(co: np.ndarray, m: int, sign: int) -> None:
+    """In place, divide by 1 + sign*q^m: q[i] = co[i] - sign*q[i-m].
+
+    Along each residue class mod m this is a running sum, taken as one
+    cumsum down the rows of co laid out m wide; for sign = +1 the rows
+    alternate in sign before and after it.
+    """
     n1 = len(co)
-    if c == 1:
-        co[m:] = [x + y for x, y in zip(co[m:], co[: n1 - m])]
-    else:
-        co[m:] = [x - y for x, y in zip(co[m:], co[: n1 - m])]
-
-
-def _div_binomial(co, m, c):
-    # In-place divide by (1 + c*q^m): q[i] = a[i] - c*q[i-m], ascending.
-    if c == 1:
-        for i in range(m, len(co)):
-            co[i] -= co[i - m]
-    else:
-        for i in range(m, len(co)):
-            co[i] += co[i - m]
+    rows = -(-n1 // m)
+    grid = np.zeros(rows * m, dtype=co.dtype)
+    grid[:n1] = co
+    grid = grid.reshape(rows, m)
+    if sign == 1:
+        grid[1::2] *= -1
+    np.cumsum(grid, axis=0, out=grid)
+    if sign == 1:
+        grid[1::2] *= -1
+    co[:] = grid.reshape(-1)[:n1]

@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .catalog import (
     PHI3,
     IdentitySpec,
@@ -60,13 +62,15 @@ def verify_identity(spec_or_id, order: int) -> VerificationReport:
     start = time.perf_counter()
     lhs = evaluate(spec.lhs, order)
     rhs = evaluate(spec.rhs, order)
+    differ = np.asarray(lhs.array != rhs.array, dtype=bool)
+    if spec.mask is not None:
+        modulus, residues = spec.mask
+        differ &= np.isin(np.arange(order + 1) % modulus, residues)
+    bad = np.flatnonzero(differ)
     mismatch = None
-    for i in range(order + 1):
-        if spec.mask is not None and i % spec.mask[0] not in spec.mask[1]:
-            continue
-        if lhs[i] != rhs[i]:
-            mismatch = (i, lhs[i], rhs[i])
-            break
+    if len(bad):
+        i = int(bad[0])
+        mismatch = (i, lhs[i], rhs[i])
     elapsed = time.perf_counter() - start
     status = "pass" if mismatch is None else "fail"
     return VerificationReport(spec.id, order, status, mismatch, elapsed)

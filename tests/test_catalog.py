@@ -1,15 +1,25 @@
 """Catalog structure, the evaluator, and targeted verification runs."""
 
+import importlib
+import json
+
 import pytest
 
 from threesquares import qseries as qs
 from threesquares.catalog import (
+    PHI,
+    PHI3,
+    PSI,
+    F,
     IdentitySpec,
+    Q,
     catalog,
     evaluate,
     lookup,
     mul,
+    power,
     scale,
+    sift,
 )
 from threesquares.verify import verify_identity
 
@@ -104,3 +114,44 @@ def test_package_attribute_is_the_catalog_module():
 
     C.clear_cache()
     assert C.catalog()
+
+
+def test_failing_spec_reports_int_witness_that_serialises():
+    report = verify_identity(IdentitySpec("phi-psi", PHI(), PSI(), "phi = psi"), 30)
+    assert report.status == "fail"
+    assert report.first_mismatch == (1, 2, 1)
+    assert all(type(v) is int for v in report.first_mismatch)
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert doc["firstMismatch"] == [1, 2, 1]
+
+
+def test_sifted_products_keep_one_memo_entry_per_miss(monkeypatch):
+    # Wrapped the way the benchmark's tracer wraps it: every call that
+    # finds no memo entry must leave exactly one behind.
+    module = importlib.import_module("threesquares.catalog")
+    module.clear_cache()
+    misses = []
+    inner = module.evaluate
+
+    def traced(expr, order):
+        if (expr, order) not in module._CACHE:
+            misses.append((expr, order))
+        return inner(expr, order)
+
+    monkeypatch.setattr(module, "evaluate", traced)
+    order = 60
+    cases = [
+        (25, 0, PHI3),
+        (5, 1, power(PHI(), 4)),
+        (4, 2, mul(PHI(2), PHI(10))),
+        (5, 0, mul(Q(1), PHI(5), F(1, 9))),
+    ]
+    for t, s, child in cases:
+        got = traced(sift(t, s, child), order)
+        assert got == traced(child, t * order + s).sift(t, s)
+    assert len(misses) == len(module._CACHE)
+    # Memo entries are shared, so their arrays refuse in-place writes.
+    entry = module._CACHE[(PHI3, 25 * order)]
+    with pytest.raises(ValueError):
+        entry.array[0] += 1
+    module.clear_cache()

@@ -1,5 +1,6 @@
 """Series arithmetic: frozen oracle values and algebraic properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,3 +298,239 @@ def test_mul_large_coefficient_fallback():
     b = series([1, big])
     prod = a * b
     assert prod.coeffs == (big, big * big + 1)
+
+
+# -- differential checks against the tuple code ---------------------------------
+#
+# The series used to be tuples of Python ints, with list loops for every
+# operation.  That code is kept here, unchanged in substance, as the
+# reference for the array storage and the one convolution kernel.
+
+
+def ref_mul(a, b):
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for j, c in enumerate(a):
+        if c:
+            for i in range(n + 1 - j):
+                out[j + i] += c * b[i]
+    return tuple(out)
+
+
+def ref_sift(a, t, s):
+    return tuple(a[t * k + s] for k in range((len(a) - 1 - s) // t + 1))
+
+
+def ref_dilate(a, k):
+    out = [0] * len(a)
+    for j in range((len(a) - 1) // k + 1):
+        out[j * k] = a[j]
+    return tuple(out)
+
+
+def ref_alternate(a):
+    return tuple(-c if j & 1 else c for j, c in enumerate(a))
+
+
+def ref_divide_exact(a, b):
+    n = len(a) - 1
+    q = [0] * (n + 1)
+    for i in range(n + 1):
+        acc = a[i]
+        for j in range(1, i + 1):
+            acc -= b[j] * q[i - j]
+        q[i] = acc * b[0]
+    return tuple(q)
+
+
+def ref_prod_ap(factors, trunc):
+    co = [1] + [0] * trunc
+    for a, b, sign, e in factors:
+        for m in range(b, trunc + 1, a):
+            for _ in range(abs(e)):
+                if e > 0:
+                    co[m:] = [x + sign * y for x, y in zip(co[m:], co[: trunc + 1 - m])]
+                else:
+                    for i in range(m, trunc + 1):
+                        co[i] -= sign * co[i - m]
+    return tuple(co)
+
+
+def sparse_series(trunc, entries):
+    out = [0] * (trunc + 1)
+    for j, c in entries:
+        out[j] += c
+    return series(out)
+
+
+st_coeff = st.integers(-(1 << 20), 1 << 20)
+
+
+def sparse_pair(n):
+    entries = st.lists(st.tuples(st.integers(0, n), st_coeff), max_size=6)
+    side = entries.map(lambda es: sparse_series(n, es))
+    return st.tuples(side, side)
+
+
+st_sparse_pair = st.integers(40, 400).flatmap(sparse_pair)
+st_dense_pair = paired(60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st_sparse_pair, st_dense_pair))
+def test_mul_and_pow_match_the_tuple_code(pair):
+    a, b = pair
+    assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
+    cube = ref_mul(ref_mul(a.coeffs, a.coeffs), a.coeffs)
+    assert a.pow(3).coeffs == cube
+    assert a.pow(1) == a and a.pow(0) == qs.one(a.trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st_sparse_pair, st_dense_pair), st.integers(1, 9), st.data())
+def test_sifted_conv_matches_product_then_sift(pair, t, data):
+    a, b = pair
+    s = data.draw(st.integers(0, min(t - 1, a.trunc)))
+    n = (a.trunc - s) // t
+    got = qs._conv(a, b, t, s, n)
+    assert got.trunc == n
+    assert got.coeffs == ref_sift(ref_mul(a.coeffs, b.coeffs), t, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st_series, st.integers(1, 7), st.data())
+def test_exponent_transforms_match_the_tuple_code(a, t, data):
+    s = data.draw(st.integers(0, min(t - 1, a.trunc)))
+    assert a.sift(t, s).coeffs == ref_sift(a.coeffs, t, s)
+    assert a.dilate(t).coeffs == ref_dilate(a.coeffs, t)
+    assert a.alternate().coeffs == ref_alternate(a.coeffs)
+
+
+st_factor = st.tuples(
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((1, -1)),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st_factor, max_size=4), st.integers(0, 60))
+def test_prod_ap_matches_the_tuple_code(factors, trunc):
+    assert qs.prod_ap(factors, trunc).coeffs == ref_prod_ap(factors, trunc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st_factor, min_size=1, max_size=4), st.integers(2, 64))
+def test_prod_ap_exact_whatever_the_limit(factors, limit):
+    # A tiny int64 window makes the certificate give up at every step
+    # position in turn; the switch to Python ints must not change a value.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "_INT64_SAFE", limit)
+        got = qs._expand_ap(factors, 40).tolist()
+    assert tuple(got) == ref_prod_ap(factors, 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(paired(), st.integers(-(1 << 40), 1 << 40))
+def test_divide_exact_matches_the_tuple_code(pair, big):
+    a, b = pair
+    unit = series((1, big) + b.coeffs[2:]) if b.trunc >= 1 else qs.one(0)
+    assert a.divide_exact(unit).coeffs == ref_divide_exact(a.coeffs, unit.coeffs)
+
+
+def test_sparse_products_take_the_outer_path(monkeypatch):
+    calls = []
+    outer = qs._outer
+    monkeypatch.setattr(
+        qs, "_outer", lambda *args: calls.append(args[6]) or outer(*args)
+    )
+    phi = qs.phi(4000)
+    assert (phi * phi).coeffs == ref_mul(phi.coeffs, phi.coeffs)
+    assert calls == [4000]
+
+
+# -- certificate edges -----------------------------------------------------------
+
+LIMIT = 1 << 62
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_add_and_sub_certificate_edge(below):
+    a, b = series([LIMIT // 2 - below, 3]), series([LIMIT // 2, -5])
+    total = a + b
+    assert total.coeffs == (LIMIT - below, -2)
+    assert total.array.dtype == (object if not below else np.int64)
+    diff = a - b.scale(-1)
+    assert diff == total
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_scale_certificate_edge(below):
+    a = series([LIMIT // 4 - below, -1])
+    out = a.scale(4)
+    assert out.coeffs == (LIMIT - 4 * below, -4)
+    assert out.array.dtype == (object if not below else np.int64)
+
+
+@pytest.mark.parametrize("t,s,n", [(1, 0, 1), (1, 0, 200), (100, 0, 2)])
+@pytest.mark.parametrize("below", [0, 1])
+def test_conv_certificate_edge(t, s, n, below):
+    # Two nonzeros on each side at exponents 0 and h: the product's
+    # coefficient at h is exactly the certificate's bound 2*c*d.
+    top = t * n + s
+    h = top // 2 if top > 1 else 1
+    c, d = 1 << 30, (1 << 31) - below
+    x = sparse_series(top, [(0, c), (h, c)])
+    y = sparse_series(top, [(0, d), (h, d)])
+    got = qs._conv(x, y, t, s, n)
+    assert got.coeffs == ref_sift(ref_mul(x.coeffs, y.coeffs), t, s)
+    assert got.bound == 2 * c * d
+    assert got.array.dtype == (object if not below else np.int64)
+
+
+@pytest.mark.parametrize("t,s,n", [(1, 0, 3), (1, 0, 200), (50, 0, 3)])
+def test_conv_certificate_counts_every_term(t, s, n):
+    # Four terms of 2^61 meet in one coefficient, 2^63: past int64, so
+    # a bound that left out the term count would wrap.
+    top = t * n + s
+    exponents = [top // 3 * i for i in range(4)]
+    x = sparse_series(top, [(j, 1 << 30) for j in exponents])
+    y = sparse_series(top, [(j, 1 << 31) for j in exponents])
+    got = qs._conv(x, y, t, s, n)
+    assert got.coeffs == ref_sift(ref_mul(x.coeffs, y.coeffs), t, s)
+    assert got.bound == 1 << 63
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_prod_ap_certificate_edge(monkeypatch, k):
+    # (1 + q)^e to order 1 is [1, e]; the step from e = k to k + 1 is
+    # certified by 2*k, so a window of 2*k gives up exactly there.
+    monkeypatch.setattr(qs, "_INT64_SAFE", 2 * k)
+    at_limit = qs._expand_ap([(1, 1, 1, k + 1)], 1)
+    below = qs._expand_ap([(1, 1, 1, k)], 1)
+    assert at_limit.dtype == object and below.dtype == np.int64
+    assert at_limit.tolist() == [1, k + 1] and below.tolist() == [1, k]
+    # Dividing by 1 - q (the only factor below order k) sums k + 1 terms.
+    factors = [(k + 1, 1, -1, -1)]
+    monkeypatch.setattr(qs, "_INT64_SAFE", k + 1)
+    assert qs._expand_ap(factors, k).dtype == object
+    monkeypatch.setattr(qs, "_INT64_SAFE", k + 2)
+    assert qs._expand_ap(factors, k).dtype == np.int64
+    assert qs._expand_ap(factors, k).tolist() == [1] * (k + 1)
+
+
+def test_distinct_odd_parts_at_order_7005_stays_exact():
+    factors = [(2, 1, 1, 1)]
+    ser = qs.prod_ap(factors, 7005)
+    assert ser.coeffs == ref_prod_ap(factors, 7005)
+    assert ser.bound >= LIMIT
+    assert ser.array.dtype == object
+    assert ser.sift(7, 5).coeffs == ref_sift(ser.coeffs, 7, 5)
+
+
+def test_series_arrays_are_read_only():
+    ser = qs.phi(10) * qs.psi(10)
+    for view in (ser.array, ser.truncate(4).array, ser.sift(3, 1).array):
+        with pytest.raises(ValueError):
+            view[0] = 7
