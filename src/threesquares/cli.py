@@ -26,6 +26,10 @@ DEFAULT_ORDER = 1000
 
 USAGE_ERROR = 2
 
+# count walks every (y, z) row of the ellipsoid, about pi*n rows for
+# x^2 + y^2 + z^2: 10^6 takes about 1.4 s on a 2-vCPU Xeon, 10^7 about 14 s.
+COUNT_MAX_N = 10**6
+
 
 class UsageError(SystemExit):
     def __init__(self, message: str):
@@ -130,6 +134,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count(args) -> int:
     form = _parse_form(args.form)
+    if args.n > COUNT_MAX_N:
+        raise UsageError(f"--n must be at most {COUNT_MAX_N}, got {args.n}")
     print(rep_count_ternary(form, args.n))
     return 0
 

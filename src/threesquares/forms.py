@@ -7,6 +7,13 @@ a <= b <= c, |f| <= a, |e| <= a, |d| <= b.  Its diagonal is exactly the
 triple of successive minima (attained by a basis in rank 3), so the
 search space is a provably complete finite set of short-vector triples.
 
+The class scan rests on Gauss's bound for reduced positive ternary forms
+(Gauss 1831, in his review of Seeber): with G the half-integral Gram
+matrix of a*x^2 + ... + f*xy and D = 4 det G the discriminant used here,
+a form whose diagonal is the successive minima has abc <= 2 det G = D/2,
+with equality at D = 2 for (1, 1, 1, -1, -1, 0).  So the scan needs only
+a^3 <= D/2 and a*b^2 <= D/2.
+
 Both hot loops run as exact int64 numpy code.  The class scan broadcasts
 the (f, e, d) grid of each (a, b) and takes c with np.divmod; the basis
 search takes every bilinear value as a matrix product against V @ G and
@@ -83,11 +90,11 @@ def _icbrt(n: int) -> int:
     """Exact floor cube root of a non-negative integer."""
     if n < 0:
         raise ValueError
-    r = round(n ** (1 / 3))
+    # Integer Newton from 2^ceil(bits/3) >= cbrt(n).  By AM-GM no iterate
+    # falls below the floor root, and each one above it strictly falls.
+    r = 1 << -(-n.bit_length() // 3)
     while r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
+        r = (2 * r + n // (r * r)) // 3
     return r
 
 
@@ -116,9 +123,9 @@ def _minima(form: TernaryForm):
     """First two successive minima, and the short vectors that found them.
 
     Returns (lam1, lam2, top, vecs) with vecs = short_vectors(form, top).
-    lam1^3 <= 2 det(G) = D/2 by the rank-3 Hermite bound, and
-    lam2 <= max(isqrt(D//lam1), 2*lam1) (see _scan_bound_b), so one
-    enumeration up to top covers both for every lam1 >= 1.
+    lam1 * lam2^2 <= D/2 by Gauss's bound (see _scan_bound_b), so
+    top > isqrt(D) covers both minima.  The wider top reaches more third
+    vectors, which saves the reduction a second enumeration.
     """
     d = form.disc()
     top = max(isqrt(d), 2 * _icbrt(d // 2) + 2) + 1
@@ -224,26 +231,25 @@ def equivalent_forms(f: TernaryForm, g: TernaryForm):
 
 
 def automorphs(form: TernaryForm) -> list[Matrix]:
-    """All integer changes of variables fixing the form (a finite group)."""
+    """All integer changes of variables fixing the form (a finite group).
+
+    Columns (v1, v2, v3) of values (a, b, c) whose bilinear values match
+    (f, e, d), in short_vectors order with v1 slowest: the pairs come
+    from one matrix product, then their third vectors from two more.
+    """
     a, b, c, d, e, f = form.as_tuple()
     vecs = short_vectors(form, max(a, b, c))
-    by_value: dict[int, list] = {}
-    for x, y, z, val in vecs[np.isin(vecs[:, 3], (a, b, c))].tolist():
-        by_value.setdefault(val, []).append((x, y, z))
-    result = []
-    for v1 in by_value.get(a, ()):
-        for v2 in by_value.get(b, ()):
-            if form.bilinear(v1, v2) != f:
-                continue
-            for v3 in by_value.get(c, ()):
-                if form.bilinear(v1, v3) != e:
-                    continue
-                if form.bilinear(v2, v3) != d:
-                    continue
-                # Matching the full Gram forces det = +-1.
-                u = mat_transpose((v1, v2, v3))
-                assert mat_det(u) in (1, -1)
-                result.append(u)
+    v, vals = vecs[:, :3], vecs[:, 3]
+    _certify(form, v)
+    g = np.array(form.gram2(), dtype=np.int64)
+    v1, v2, v3 = v[vals == a], v[vals == b], v[vals == c]
+    v1g = v1 @ g
+    i1, i2 = np.nonzero(v1g @ v2.T == f)
+    i, j = np.nonzero((v1g[i1] @ v3.T == e) & (v2[i2] @ g @ v3.T == d))
+    cols = np.stack((v1[i1[i]], v2[i2[i]], v3[j]), 2)
+    result = [tuple(map(tuple, u)) for u in cols.tolist()]
+    # Matching the full Gram forces det = +-1.
+    assert all(mat_det(u) in (1, -1) for u in result)
     return result
 
 
@@ -252,12 +258,14 @@ def automorph_count(form: TernaryForm) -> int:
 
 
 def _scan_bound_b(disc: int, a: int) -> int:
-    """Upper bound for b over canonical forms with leading coefficient a.
+    """Upper bound for b over the scanned forms with leading coefficient a.
 
-    From D = c(4ab-f^2) + def - ad^2 - be^2 and the size bounds: either
-    a <= b/2, which forces a*b^2 <= D, or b < 2a.
+    Every class has a sign-coupled size-reduced form whose diagonal is
+    its successive minima.  Gauss's bound gives abc <= D/2 for it (D = 4
+    det of the half-integral Gram; equality at D = 2 for (1, 1, 1, -1,
+    -1, 0)), and b <= c then gives a*b^2 <= D/2.
     """
-    return max(isqrt(disc // a), 2 * a)
+    return isqrt(disc // (2 * a))
 
 
 def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
@@ -272,7 +280,7 @@ def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
     divisor at most 4ab; that bound is checked against 2^62 first.
     """
     amax = _icbrt(disc // 2)
-    bmax = max(isqrt(disc), 2 * amax)
+    bmax = _scan_bound_b(disc, 1)
     worst = disc + amax * bmax * (2 * amax + bmax + 4)
     if worst >= _INT64_SAFE:
         raise ValueError(
@@ -307,8 +315,8 @@ def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
 def enumerate_classes(disc: int) -> tuple[TernaryForm, ...]:
     """Canonical representatives of every primitive class of a discriminant.
 
-    Scans the complete region containing all size-reduced forms (leading
-    coefficient up to the Hermite bound, sign-coupled off-diagonals) and
+    Scans a region holding a size-reduced form of every class (within
+    Gauss's bound, sign-coupled off-diagonals; see _scan_bound_b) and
     merges the candidates into classes by reducing every one of them to
     its canonical form.  Imprimitive forms are excluded: a form with
     coefficient gcd t is t times a form of discriminant disc/t^3, so it

@@ -7,13 +7,15 @@ Local equivalence is decided through Jordan splittings: at odd p the
 scaled ranks and unit-determinant characters form a complete invariant;
 at 2 the per-scale data (rank, determinant class mod 8, parity type,
 oddity) is normalized with compartment fusion and train sign-walking to
-a canonical symbol before comparison.
+a canonical symbol before comparison (Conway & Sloane, SPLAG ch. 15).
+The splitting itself runs on Python ints, as integer numerators over one
+common denominator with fraction-free Schur complements, and reads each
+valuation and unit residue from a (numerator, denominator) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import TernaryForm, theta_series_ternary
@@ -26,37 +28,48 @@ from .forms import (
 )
 
 
-# -- p-adic valuation over exact rationals ---------------------------------
+# -- p-adic Jordan splitting over the integers -----------------------------
 
 
-def _val(x: Fraction, p: int) -> int:
+def _val(x: int, p: int) -> int:
     if x == 0:
         return 10**9
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
-def _unit_residue(x: Fraction, p_power: int) -> int:
-    """Residue of a p-adic unit written as a fraction, mod p_power."""
-    num, den = x.numerator, x.denominator
+def _unit(num: int, den: int, p: int) -> tuple[int, int]:
+    """num/den with every factor p taken out of both."""
+    while num % p == 0:
+        num //= p
+    while den % p == 0:
+        den //= p
+    return num, den
+
+
+def _residue(unit: tuple[int, int], p_power: int) -> int:
+    """Residue of a p-adic unit num/den, mod p_power."""
+    num, den = unit
     return num * pow(den, -1, p_power) % p_power
 
 
 def _jordan_blocks(gram, p: int):
-    """Split a nonsingular symmetric matrix over Z_p into 1x1 and 2x2 blocks.
+    """Split a nonsingular symmetric integer matrix over Z_p into blocks.
 
     Returns a list of ('one', scale, unit) and ('two', scale, det_unit)
-    entries, where unit/det_unit are the unimodular parts as Fractions.
+    entries; each unit is the unimodular part as a pair (num, den) with
+    p dividing neither.  The working matrix is integer numerators m over
+    one common denominator den, so valuations compare on m alone.  A 1x1
+    pivot w turns the rest into m_kl*w - m_kw*m_wl over den*w, a 2x2
+    pivot with determinant det into m_kl*det - (row k) adj (column l)
+    over den*det: fraction-free Schur complements.
     """
     n = len(gram)
-    m = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    m = [list(row) for row in gram]
+    den = 1
     active = list(range(n))
     blocks = []
     while active:
@@ -66,56 +79,50 @@ def _jordan_blocks(gram, p: int):
                 v = _val(m[i][j], p)
                 if best is None or v < best[0]:
                     best = (v, i, j)
-        scale, bi, bj = best
-        diag = [i for i in active if _val(m[i][i], p) == scale]
+        low, bi, bj = best
+        scale = low - _val(den, p)
+        diag = [i for i in active if _val(m[i][i], p) == low]
         if not diag and p != 2:
             # Fold the off-diagonal minimum onto the diagonal: replacing
             # e_i by e_i + e_j gives a_ii + 2a_ij + a_jj, and 2 is a unit
             # at odd p, so the new diagonal entry attains the minimum.
             i, j = bi, bj
             new_diag = m[i][i] + 2 * m[i][j] + m[j][j]
-            new_row = [m[i][l] + m[j][l] for l in range(n)]
-            for l in range(n):
-                m[i][l] = new_row[l]
-                m[l][i] = new_row[l]
+            for l in active:
+                m[i][l] = m[l][i] = m[i][l] + m[j][l]
             m[i][i] = new_diag
             diag = [i]
         if diag:
             i = diag[0]
-            piv = m[i][i]
-            for k in active:
-                if k == i:
-                    continue
-                coef = m[k][i] / piv
-                for l in active:
-                    m[k][l] -= coef * m[i][l]
-                for l in active:
-                    m[l][k] = m[k][l]
-            blocks.append(("one", scale, piv / Fraction(p) ** scale))
+            w = m[i][i]
             active.remove(i)
+            for k in active:
+                for l in active:
+                    m[k][l] = m[k][l] * w - m[k][i] * m[i][l]
+            blocks.append(("one", scale, _unit(w, den, p)))
+            den *= w
         else:
             # 2-adic even case: minimal valuation sits off the diagonal.
             i, j = bi, bj
             bii, bij, bjj = m[i][i], m[i][j], m[j][j]
             det = bii * bjj - bij * bij
-            for k in active:
-                if k in (i, j):
-                    continue
-                alpha = (m[k][i] * bjj - m[k][j] * bij) / det
-                beta = (m[k][j] * bii - m[k][i] * bij) / det
-                for l in active:
-                    m[k][l] -= alpha * m[i][l] + beta * m[j][l]
-                for l in active:
-                    m[l][k] = m[k][l]
-            blocks.append(("two", scale, det / Fraction(p) ** (2 * scale)))
             active.remove(i)
             active.remove(j)
+            for k in active:
+                ki, kj = m[k][i], m[k][j]
+                for l in active:
+                    il, jl = m[i][l], m[j][l]
+                    m[k][l] = m[k][l] * det - (
+                        ki * (bjj * il - bij * jl) + kj * (bii * jl - bij * il)
+                    )
+            blocks.append(("two", scale, _unit(det, den * den, p)))
+            den *= det
     return blocks
 
 
 def _symbol_odd(gram, p: int):
     """Complete invariant at an odd prime: (scale, rank, character) list."""
-    per_scale: dict[int, list[Fraction]] = {}
+    per_scale: dict[int, list[tuple[int, int]]] = {}
     for kind, scale, unit in _jordan_blocks(gram, p):
         assert kind == "one", "odd-prime splitting is diagonal"
         per_scale.setdefault(scale, []).append(unit)
@@ -124,7 +131,7 @@ def _symbol_odd(gram, p: int):
         units = per_scale[scale]
         chi = 1
         for u in units:
-            chi *= legendre(_unit_residue(u, p), p)
+            chi *= legendre(_residue(u, p), p)
         out.append((scale, len(units), chi))
     return tuple(out)
 
@@ -137,13 +144,13 @@ def _symbol_two_raw(gram):
             scale, {"rank": 0, "det": 1, "odd": False, "oddity": 0}
         )
         if kind == "one":
-            r = _unit_residue(unit, 8)
+            r = _residue(unit, 8)
             slot["rank"] += 1
             slot["det"] = slot["det"] * r % 8
             slot["odd"] = True
             slot["oddity"] = (slot["oddity"] + r) % 8
         else:
-            r = _unit_residue(unit, 8)  # 7 for the hyperbolic type, 3 otherwise
+            r = _residue(unit, 8)  # 7 for the hyperbolic type, 3 otherwise
             assert r in (3, 7), "even binary 2-adic block must have det 3 or 7"
             slot["rank"] += 2
             slot["det"] = slot["det"] * r % 8

@@ -255,3 +255,35 @@ def test_negative_max_n_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "error: --max-n must be non-negative\n"
+
+
+def test_count_refuses_n_above_its_cap_before_any_rows(monkeypatch, capsys):
+    from threesquares import cli
+
+    def unreachable(form, n):
+        raise AssertionError("rows built before the --n cap check")
+
+    monkeypatch.setattr(cli, "rep_count_ternary", unreachable)
+    cap = cli.COUNT_MAX_N
+    code, out, err = run_cli(
+        ["count", "--form", "1,1,1,0,0,0", "--n", str(cap + 1)], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --n must be at most {cap}, got {cap + 1}\n"
+
+
+def test_count_accepts_n_at_its_cap(monkeypatch, capsys):
+    from threesquares import cli
+
+    monkeypatch.setattr(cli, "COUNT_MAX_N", 50)
+    code, out, _ = run_cli(["count", "--form", "1,1,1,0,0,0", "--n", "50"], capsys)
+    assert (code, out) == (0, "84\n")
+
+
+def test_huge_discriminant_is_refused_by_the_scan_certificate(capsys):
+    # The cube root of 10^400 is exact integer work; the scan's int64
+    # certificate then refuses the discriminant.
+    code, out, err = run_cli(["genus", "--disc", str(10**400)], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: class scan of discriminant") and "int64" in err

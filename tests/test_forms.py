@@ -4,7 +4,9 @@ import random
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from threesquares import forms
 from threesquares.lattice import (
     TernaryForm,
     short_vectors,
@@ -318,3 +320,99 @@ def test_int64_certificates_fail_at_once():
         enumerate_classes(2**62)
     with pytest.raises(ValueError, match="int64"):
         short_vectors(I3, 2**62)
+
+
+# -- Gauss's bound: the narrowed scan keeps a form of every class -----------
+
+
+def wide_scan_bound_b(disc, a):
+    """The scan bound before Gauss's: a <= b/2 forces a*b^2 <= D, else b < 2a."""
+    return max(isqrt(disc // a), 2 * a)
+
+
+def sign_normalised(t):
+    a, b, c, d, e, f = t
+    if d * e * f >= 0:
+        return (a, b, c, abs(d), abs(e), abs(f))
+    return (a, b, c, -abs(d), -abs(e), -abs(f))
+
+
+@pytest.mark.parametrize(
+    "discs", [range(1, 601), (4624, 8464, 16 * 73 * 73)], ids=["1-600", "large"]
+)
+def test_gauss_bounded_scan_drops_no_class(monkeypatch, discs):
+    for disc in discs:
+        narrow = _candidates(disc)
+        with monkeypatch.context() as m:
+            m.setattr(forms, "_scan_bound_b", wide_scan_bound_b)
+            wide = _candidates(disc)
+        assert narrow <= wide, disc
+        for t in wide - narrow:
+            canon = reduce_form(TernaryForm(*t)).as_tuple()
+            a, b, c = canon[:3]
+            assert 2 * a * b * c <= disc, (disc, t, canon)
+            assert sign_normalised(canon) in narrow, (disc, t, canon)
+
+
+AUT_DISCS = (*range(1, 301), 4624, 8464, 16 * 73 * 73)
+
+
+def test_every_class_meets_gauss_bound():
+    for disc in AUT_DISCS:
+        for form in enumerate_classes(disc):
+            assert 2 * form.a * form.b * form.c <= disc, form
+
+
+def test_gauss_bound_is_attained_at_disc_2():
+    (form,) = enumerate_classes(2)
+    assert form.as_tuple() == (1, 1, 1, -1, -1, 0)
+    assert 2 * form.a * form.b * form.c == form.disc() == 2
+
+
+# -- automorphs: the loop code the array filter replaced --------------------
+
+
+def ref_automorphs(form):
+    a, b, c, d, e, f = form.as_tuple()
+    by_value = {}
+    for v, val in ref_short_vectors(form, max(a, b, c)):
+        by_value.setdefault(val, []).append(v)
+    result = []
+    for v1 in by_value.get(a, ()):
+        for v2 in by_value.get(b, ()):
+            if form.bilinear(v1, v2) != f:
+                continue
+            for v3 in by_value.get(c, ()):
+                if form.bilinear(v1, v3) != e:
+                    continue
+                if form.bilinear(v2, v3) != d:
+                    continue
+                result.append(mat_transpose((v1, v2, v3)))
+    return result
+
+
+def test_array_automorphs_match_the_loop_code():
+    for disc in AUT_DISCS:
+        for form in enumerate_classes(disc):
+            assert automorphs(form) == ref_automorphs(form), form
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((9, 25, 52, 96, 108, 289, 529, 4624)),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32),
+)
+def test_automorphs_of_unimodular_images_match_the_loop_code(disc, pick, seed):
+    classes = enumerate_classes(disc)
+    form = classes[pick % len(classes)]
+    moved = apply_transform(form, random_unimodular(random.Random(seed), steps=4))
+    group = automorphs(moved)
+    assert group == ref_automorphs(moved)
+    assert len(group) == automorph_count(form)
+
+
+def test_icbrt_is_exact_integer_work():
+    for n in (*range(2000), 2**62, 10**400, 10**400 - 1, 27**90, 27**90 - 1):
+        r = _icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3, n

@@ -1,11 +1,14 @@
 """Genus partitioning, the two distinguished genera, and the bijection."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from threesquares import genera
 from threesquares.lattice import TernaryForm
-from threesquares.forms import reduce_form
+from threesquares.forms import enumerate_classes, reduce_form
 from threesquares.genera import (
     BinaryClass,
     Genus,
@@ -14,6 +17,7 @@ from threesquares.genera import (
     find_h_between,
     genus_of,
     genus_partition,
+    genus_symbol,
     lift_binary_to_ternary,
     same_genus,
     tg1,
@@ -185,3 +189,122 @@ def test_matching_search_stops_at_the_second_match():
     result = find_h_between(g, g, 20)
     assert result.status == "ambiguous"
     assert "40320" not in result.detail
+
+
+# -- Jordan splitting: the Fraction code the integer splitting replaced -----
+
+
+def ref_val(x, p):
+    if x == 0:
+        return 10**9
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def ref_jordan_blocks(gram, p):
+    n = len(gram)
+    m = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    blocks = []
+    while active:
+        best = None
+        for i in active:
+            for j in active:
+                v = ref_val(m[i][j], p)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        scale, bi, bj = best
+        diag = [i for i in active if ref_val(m[i][i], p) == scale]
+        if not diag and p != 2:
+            i, j = bi, bj
+            new_diag = m[i][i] + 2 * m[i][j] + m[j][j]
+            new_row = [m[i][l] + m[j][l] for l in range(n)]
+            for l in range(n):
+                m[i][l] = new_row[l]
+                m[l][i] = new_row[l]
+            m[i][i] = new_diag
+            diag = [i]
+        if diag:
+            i = diag[0]
+            piv = m[i][i]
+            for k in active:
+                if k == i:
+                    continue
+                coef = m[k][i] / piv
+                for l in active:
+                    m[k][l] -= coef * m[i][l]
+                for l in active:
+                    m[l][k] = m[k][l]
+            blocks.append(("one", scale, piv / Fraction(p) ** scale))
+            active.remove(i)
+        else:
+            i, j = bi, bj
+            bii, bij, bjj = m[i][i], m[i][j], m[j][j]
+            det = bii * bjj - bij * bij
+            for k in active:
+                if k in (i, j):
+                    continue
+                alpha = (m[k][i] * bjj - m[k][j] * bij) / det
+                beta = (m[k][j] * bii - m[k][i] * bij) / det
+                for l in active:
+                    m[k][l] -= alpha * m[i][l] + beta * m[j][l]
+                for l in active:
+                    m[l][k] = m[k][l]
+            blocks.append(("two", scale, det / Fraction(p) ** (2 * scale)))
+            active.remove(i)
+            active.remove(j)
+    return blocks
+
+
+def as_fractions(blocks):
+    """Integer-splitting blocks with each (num, den) unit as a Fraction."""
+    return [(kind, scale, Fraction(*unit)) for kind, scale, unit in blocks]
+
+
+def ref_genus_symbol(form, monkeypatch):
+    """genus_symbol read from the Fraction splitting's blocks."""
+    def ref_pairs(gram, p):
+        return [
+            (kind, scale, (u.numerator, u.denominator))
+            for kind, scale, u in ref_jordan_blocks(gram, p)
+        ]
+
+    with monkeypatch.context() as m:
+        m.setattr(genera, "_jordan_blocks", ref_pairs)
+        return genus_symbol(form)
+
+
+SPLIT_DISCS = (*range(1, 301), 4624, 8464, 16 * 73 * 73)
+
+
+def test_integer_jordan_splitting_matches_the_fraction_code(monkeypatch):
+    for disc in SPLIT_DISCS:
+        primes = genera._prime_factors(2 * disc)
+        for form in enumerate_classes(disc):
+            gram = form.gram2()
+            for p in primes:
+                blocks = genera._jordan_blocks(gram, p)
+                for _, _, (num, den) in blocks:
+                    assert num % p and den % p, (form, p, blocks)
+                assert as_fractions(blocks) == ref_jordan_blocks(gram, p), (form, p)
+            assert genus_symbol(form) == ref_genus_symbol(form, monkeypatch), form
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), min_size=6, max_size=6),
+    st.sampled_from((2, 3, 5, 7)),
+)
+def test_integer_jordan_splitting_of_any_symmetric_matrix(entries, p):
+    a, b, c, d, e, f = entries
+    gram = ((a, f, e), (f, b, d), (e, d, c))
+    det = a * (b * c - d * d) - f * (f * c - d * e) + e * (f * d - b * e)
+    assume(det != 0)
+    assert as_fractions(genera._jordan_blocks(gram, p)) == ref_jordan_blocks(gram, p)
