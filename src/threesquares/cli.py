@@ -17,8 +17,7 @@ import os
 import sys
 
 from .catalog import catalog, lookup
-from .forms import is_prime
-from .genera import find_h, genus_partition, tg1, tg2
+from .genera import find_h, genus_partition, require_odd_prime, tg1, tg2
 from .lattice import TernaryForm, rep_count_ternary, s_table
 from .verify import run_catalog, verify_prop54
 
@@ -169,8 +168,6 @@ def _cmd_genus(args) -> int:
     if args.p is None and args.disc is None:
         raise UsageError("genus needs --p or --disc")
     if args.p is not None:
-        if args.p == 2 or not is_prime(args.p):
-            raise UsageError("--p must be an odd prime")
         genus1, genus2 = tg1(args.p), tg2(args.p)
         if args.format == "json":
             pairing = find_h(args.p, args.max_n)
@@ -219,8 +216,7 @@ def _cmd_prop54(args) -> int:
             p = int(part)
         except ValueError:
             raise UsageError(f"malformed prime {part!r}")
-        if p == 2 or not is_prime(p):
-            raise UsageError(f"{p} is not an odd prime")
+        require_odd_prime(p)
         primes.append(p)
     rows = []
     all_pass = True

@@ -271,8 +271,10 @@ class Genus:
     aut_counts: tuple[int, ...]
 
     def weights48(self) -> tuple[int, ...]:
+        """48 / |Aut| per member; ArithmeticError if a count does not divide 48."""
         for n in self.aut_counts:
-            assert 48 % n == 0, "automorph order must divide 48"
+            if 48 % n:
+                raise ArithmeticError(f"automorph count {n} does not divide 48")
         return tuple(48 // n for n in self.aut_counts)
 
     def contains(self, form: TernaryForm) -> bool:
@@ -306,13 +308,15 @@ def genus_partition(disc: int) -> tuple[Genus, ...]:
 
 def genus_of(form: TernaryForm) -> Genus:
     canonical = reduce_form(form)
+    key = canonical.as_tuple()
     for genus in genus_partition(canonical.disc()):
-        if genus.contains(canonical):
+        if any(m.as_tuple() == key for m in genus.members):
             return genus
     raise RuntimeError(f"form {form} missing from its own discriminant")
 
 
-def _require_odd_prime(p: int) -> None:
+def require_odd_prime(p: int) -> None:
+    """The one guard on a prime argument: ValueError unless p is an odd prime."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 
@@ -320,7 +324,7 @@ def _require_odd_prime(p: int) -> None:
 @lru_cache(maxsize=None)
 def tg1(p: int) -> Genus:
     """The genus of all classes of discriminant p^2 (verified unique)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     partition = genus_partition(p * p)
     if len(partition) != 1:
         raise RuntimeError(
@@ -350,7 +354,7 @@ class BinaryClass:
 
 def binary_classes(p: int) -> tuple[BinaryClass, ...]:
     """All reduced binary classes of discriminant -p (p ≡ 3 mod 4)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if p % 4 != 3:
         raise ValueError("discriminant -p requires p ≡ 3 mod 4")
     out = []
@@ -395,10 +399,8 @@ def _tg2_seed(p: int) -> TernaryForm | None:
 
 
 def _vanishes_mod4(form: TernaryForm, bound: int = 200) -> bool:
-    theta = theta_series_ternary(form, bound)
-    return all(
-        theta[m] == 0 for m in range(1, bound + 1) if m % 4 in (1, 2)
-    )
+    theta = theta_series_ternary(form, bound).array
+    return not (theta[1::4].any() or theta[2::4].any())
 
 
 @lru_cache(maxsize=None)
@@ -410,7 +412,7 @@ def tg2(p: int) -> Genus:
     vanish on exponents ≡ 1, 2 mod 4 and admit an automorph-preserving
     pullback bijection onto tg1(p).
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     seed = _tg2_seed(p)
     if seed is not None:
         genus = genus_of(seed)

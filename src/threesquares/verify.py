@@ -1,16 +1,22 @@
 """Verification engines: catalog runs, coefficient theorems, genus checks.
 
-Everything here compares exact integers; a check either passes or
-reports the first failing exponent.  The q-series route (sifted series
-built from theta sums and products) and the lattice route (counts from
-direct enumeration) are kept separate so each confirms the other.
+Every check builds its two sides as exact integer arrays indexed by the
+exponent n and hands them to one comparison, _first_mismatch, which
+returns the least failing n.  The lattice-count checks run over
+1 <= n <= N, as the paper states them.  The slices of the int32 s table
+a check reads are widened to int64 before any arithmetic: the table's
+certificate bounds s(n), not p*s(n).  The weighted two-genus identity
+takes its coefficients from Genus.weights48, so the terms a report
+prints are the terms that were checked.  The q-series route (sifted
+series built from theta sums and products) and the lattice route
+(counts from direct enumeration) are kept separate so each confirms
+the other.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +32,15 @@ from .catalog import (
     sub,
     theta3,
 )
-from .forms import is_prime, legendre
-from .genera import Genus, HResult, _vanishes_mod4, find_h, tg1, tg2
+from .forms import legendre
+from .genera import (
+    HResult,
+    _vanishes_mod4,
+    find_h,
+    require_odd_prime,
+    tg1,
+    tg2,
+)
 from .lattice import s_table
 
 
@@ -53,6 +66,27 @@ class VerificationReport:
         return out
 
 
+def _first_mismatch(lhs, rhs, keep=None) -> int | None:
+    """The least index n (with keep[n], if given) where lhs and rhs differ."""
+    differ = np.asarray(lhs != rhs, dtype=bool)
+    if keep is not None:
+        differ &= keep
+    bad = np.flatnonzero(differ)
+    return int(bad[0]) if len(bad) else None
+
+
+def _from_one(max_n: int) -> np.ndarray:
+    """The mask of n = 1..max_n over the indices 0..max_n."""
+    return np.arange(max_n + 1) > 0
+
+
+def _minus_chi(p: int, max_n: int) -> np.ndarray:
+    """(-n|p) for n = 0..max_n, read from a table over the residues mod p."""
+    residues = range(min(p, max_n + 1))
+    table = np.array([legendre(-r, p) for r in residues], dtype=np.int64)
+    return table[np.arange(max_n + 1) % p]
+
+
 def verify_identity(spec_or_id, order: int) -> VerificationReport:
     spec = spec_or_id
     if isinstance(spec_or_id, str):
@@ -62,15 +96,12 @@ def verify_identity(spec_or_id, order: int) -> VerificationReport:
     start = time.perf_counter()
     lhs = evaluate(spec.lhs, order)
     rhs = evaluate(spec.rhs, order)
-    differ = np.asarray(lhs.array != rhs.array, dtype=bool)
+    keep = None
     if spec.mask is not None:
         modulus, residues = spec.mask
-        differ &= np.isin(np.arange(order + 1) % modulus, residues)
-    bad = np.flatnonzero(differ)
-    mismatch = None
-    if len(bad):
-        i = int(bad[0])
-        mismatch = (i, lhs[i], rhs[i])
+        keep = np.isin(np.arange(order + 1) % modulus, residues)
+    i = _first_mismatch(lhs.array, rhs.array, keep)
+    mismatch = None if i is None else (i, lhs[i], rhs[i])
     elapsed = time.perf_counter() - start
     status = "pass" if mismatch is None else "fail"
     return VerificationReport(spec.id, order, status, mismatch, elapsed)
@@ -186,17 +217,13 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
     same statement is re-derived as sifted series identities (the
     residue-branch endpoints of the dissection chains) at chain_order.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    table = s_table(p * p * max_n)
-    first_fail = None
-    for n in range(1, max_n + 1):
-        expected = (p + 1 - legendre(-n, p)) * int(table[n])
-        if n % (p * p) == 0:
-            expected -= p * int(table[n // (p * p)])
-        if int(table[p * p * n]) != expected:
-            first_fail = n
-            break
+    require_odd_prime(p)
+    q = p * p
+    s = s_table(q * max_n)
+    s_n = s[: max_n + 1].astype(np.int64)
+    rhs = (p + 1 - _minus_chi(p, max_n)) * s_n
+    rhs[::q] -= p * s_n[: max_n // q + 1]
+    first_fail = _first_mismatch(s[::q], rhs, _from_one(max_n))
     chain_reports: tuple[VerificationReport, ...] = ()
     chain_used = None
     if p in (3, 5) and first_fail is None:
@@ -205,7 +232,9 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
             specs = [lookup(i) for i in _CHAIN_IDS_P5] + _HS5_SPECS
         else:
             specs = [lookup(i) for i in _CHAIN_IDS_P3] + _HS3_SPECS
-        chain_reports = tuple(verify_identity(s, chain_order) for s in specs)
+        chain_reports = tuple(
+            verify_identity(spec, chain_order) for spec in specs
+        )
     ok = first_fail is None and all(r.status == "pass" for r in chain_reports)
     return HSReport(
         p, max_n, "pass" if ok else "fail", first_fail, chain_used,
@@ -232,61 +261,33 @@ class TheoremReport:
         }
 
 
-def _coefficient_check(max_n, lhs, rhs, residues=None):
-    for n in range(1, max_n + 1):
-        if residues is not None and n % 4 not in residues:
-            continue
-        if lhs(n) != rhs(n):
-            return n
-    return None
-
-
 def verify_theorems(max_n: int) -> list[TheoremReport]:
     """The four representation-number theorems, from lattice counts alone.
 
     The two parity-restricted statements hold for n = 1, 2 mod 4; their
     extensions subtract a second form's counts and hold for every n.
     """
-    s9 = s_table(25 * max_n)
-    g = evaluate(theta3(1, 1, 3, 0, 0, 1), max_n)
-    h = evaluate(theta3(2, 2, 2, -1, 1, 1), max_n)
-    g2 = evaluate(theta3(4, 3, 4, 0, 4, 0), max_n)
-    h2 = evaluate(theta3(8, 3, 7, 2, 8, 4), max_n)
+    s = s_table(25 * max_n)
+    g, h, g2, h2 = (
+        evaluate(theta3(*form), max_n).array
+        for form in (
+            (1, 1, 3, 0, 0, 1),
+            (2, 2, 2, -1, 1, 1),
+            (4, 3, 4, 0, 4, 0),
+            (8, 3, 7, 2, 8, 4),
+        )
+    )
+    s_n = s[: max_n + 1].astype(np.int64)
+    d9 = s[::9][: max_n + 1].astype(np.int64) - 3 * s_n
+    d25 = s[::25].astype(np.int64) - 5 * s_n
+    residue = np.arange(max_n + 1) % 4
+    parity = (residue == 1) | (residue == 2)
+    from_one = _from_one(max_n)
     checks = [
-        (
-            "T1.1",
-            _coefficient_check(
-                max_n,
-                lambda n: int(s9[25 * n]) - 5 * int(s9[n]),
-                lambda n: 4 * h[n],
-                residues=(1, 2),
-            ),
-        ),
-        (
-            "T1.2",
-            _coefficient_check(
-                max_n,
-                lambda n: int(s9[9 * n]) - 3 * int(s9[n]),
-                lambda n: 2 * g[n],
-                residues=(1, 2),
-            ),
-        ),
-        (
-            "T5.2",
-            _coefficient_check(
-                max_n,
-                lambda n: int(s9[9 * n]) - 3 * int(s9[n]),
-                lambda n: 2 * g[n] - 4 * g2[n],
-            ),
-        ),
-        (
-            "T5.3",
-            _coefficient_check(
-                max_n,
-                lambda n: int(s9[25 * n]) - 5 * int(s9[n]),
-                lambda n: 4 * h[n] - 8 * h2[n],
-            ),
-        ),
+        ("T1.1", _first_mismatch(d25, 4 * h, parity)),
+        ("T1.2", _first_mismatch(d9, 2 * g, parity)),
+        ("T5.2", _first_mismatch(d9, 2 * g - 4 * g2, from_one)),
+        ("T5.3", _first_mismatch(d25, 4 * h - 8 * h2, from_one)),
     ]
     return [
         TheoremReport(tid, max_n, "pass" if fail is None else "fail", fail)
@@ -317,43 +318,26 @@ class Prop54Report:
         }
 
 
-def _weighted_sum(genus: Genus, thetas, n: int) -> Fraction:
-    total = Fraction(0)
-    for theta, aut in zip(thetas, genus.aut_counts):
-        total += Fraction(theta[n], aut)
-    return total
-
-
 def verify_prop54(p: int, max_n: int) -> Prop54Report:
     """s(p^2 n) - p s(n) as 48 and -96 times automorph-weighted counts
     over the two distinguished genera, checked exactly for 1 <= n <= max_n.
 
     The s table comes first: a size it refuses fails before any genus work."""
-    table = s_table(p * p * max_n)
+    s = s_table(p * p * max_n)
     genus1, genus2 = tg1(p), tg2(p)
-    t1 = [evaluate(theta3(*m.as_tuple()), max_n) for m in genus1.members]
-    t2 = [evaluate(theta3(*m.as_tuple()), max_n) for m in genus2.members]
-    first_fail = None
-    for n in range(1, max_n + 1):
-        lhs = int(table[p * p * n]) - p * int(table[n])
-        rhs = 48 * _weighted_sum(genus1, t1, n) - 96 * _weighted_sum(
-            genus2, t2, n
-        )
-        if rhs.denominator != 1:
-            raise ArithmeticError(
-                f"weighted sum is not integral at n={n} (p={p})"
-            )
-        if lhs != rhs:
-            first_fail = n
-            break
     terms1 = tuple(
-        (48 // aut, m.as_tuple())
-        for m, aut in zip(genus1.members, genus1.aut_counts)
+        (c, m.as_tuple()) for c, m in zip(genus1.weights48(), genus1.members)
     )
     terms2 = tuple(
-        (96 // aut, m.as_tuple())
-        for m, aut in zip(genus2.members, genus2.aut_counts)
+        (2 * c, m.as_tuple())
+        for c, m in zip(genus2.weights48(), genus2.members)
     )
+    rhs = np.zeros(max_n + 1, dtype=np.int64)
+    for sign, terms in ((1, terms1), (-1, terms2)):
+        for c, form in terms:
+            rhs += sign * c * evaluate(theta3(*form), max_n).array
+    lhs = s[:: p * p].astype(np.int64) - p * s[: max_n + 1].astype(np.int64)
+    first_fail = _first_mismatch(lhs, rhs, _from_one(max_n))
     return Prop54Report(
         p,
         max_n,
@@ -435,14 +419,13 @@ def verify_jagy(p: int, max_n: int) -> JagyReport:
     This is a conjecture-level check: any counterexample is reported as
     a hard failure for investigation, never suppressed.
     """
-    members = list(tg1(p).members) + list(tg2(p).members)
+    targets = _minus_chi(p, max_n) == 1
     bad = []
-    targets = [n for n in range(1, max_n + 1) if legendre(-n, p) == 1]
-    for form in members:
-        theta = evaluate(theta3(*form.as_tuple()), max_n)
-        for n in targets:
-            if theta[n] != 0:
-                bad.append((form.as_tuple(), n))
+    for member in tg1(p).members + tg2(p).members:
+        form = member.as_tuple()
+        theta = evaluate(theta3(*form), max_n).array
+        hits = np.flatnonzero(targets & (theta != 0))
+        bad.extend((form, int(n)) for n in hits)
     return JagyReport(
         p, max_n, "pass" if not bad else "fail", tuple(bad)
     )

@@ -68,9 +68,11 @@ def test_verify_json_is_deterministic(capsys):
 
 
 def test_genus_requires_odd_prime(capsys):
-    code, _, err = run_cli(["genus", "--p", "2"], capsys)
-    assert code == 2
-    assert "odd prime" in err
+    for p in ("2", "9", "-3"):
+        code, out, err = run_cli(["genus", "--p", p], capsys)
+        assert code == 2
+        assert err == f"error: {p} is not an odd prime\n"
+        assert out == ""
 
 
 def test_genus_report(capsys):
@@ -108,6 +110,18 @@ def test_prop54_rejects_nonprime(capsys):
     code, _, err = run_cli(["prop54", "--p", "9"], capsys)
     assert code == 2
     assert "not an odd prime" in err
+
+
+def test_prop54_checks_every_prime_before_any_work(capsys, monkeypatch):
+    from threesquares import cli
+
+    def no_work(p, max_n):
+        raise AssertionError("verify_prop54 ran before every prime was checked")
+
+    monkeypatch.setattr(cli, "verify_prop54", no_work)
+    code, out, err = run_cli(["prop54", "--p", "3,5,21"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 21 is not an odd prime\n"
 
 
 def test_output_file(tmp_path, capsys):

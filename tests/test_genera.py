@@ -181,6 +181,26 @@ def test_genus_json_shape():
     json.dumps(doc)  # serializable
 
 
+def test_weights48_refuses_an_automorph_count_not_dividing_48():
+    g = Genus(25, (TernaryForm(1, 1, 25, 0, 0, 0),), (5,))
+    with pytest.raises(ArithmeticError, match="5 does not divide 48"):
+        g.weights48()
+
+
+def test_genus_of_reduces_its_form_once(monkeypatch):
+    form = TernaryForm(7, 11, 20, -8, 4, 6)
+    assert len(genus_partition(form.disc())) == 12
+    calls = []
+
+    def counting_reduce(f):
+        calls.append(f)
+        return reduce_form(f)
+
+    monkeypatch.setattr(genera, "reduce_form", counting_reduce)
+    assert genus_of(form) == tg2(17)
+    assert calls == [form]
+
+
 def test_matching_search_stops_at_the_second_match():
     # Eight interchangeable members admit 8! = 40320 matchings; two
     # already decide that the pairing is ambiguous.
