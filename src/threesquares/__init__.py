@@ -14,9 +14,7 @@ from .qseries import (
     euler_e,
     monomial,
     one,
-    phi,
     prod_ap,
-    psi,
     theta_f,
     theta_f_product,
     zero,
@@ -80,9 +78,7 @@ __all__ = [
     "euler_e",
     "monomial",
     "one",
-    "phi",
     "prod_ap",
-    "psi",
     "theta_f",
     "theta_f_product",
     "zero",

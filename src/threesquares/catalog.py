@@ -4,12 +4,12 @@ Each catalog entry is a pair of expression trees over series builders;
 one interpreter evaluates both sides so every entry is auditable as
 data.  Interior nodes are the ring and exponent operations; the leaves
 are tuples of these kinds:
-  ("phi", k), ("psi", k), ("f", r, s)       theta sums
-  ("prodap", factors)                        products, see qseries.prod_ap
-  ("one",), ("zero",), ("q", m)              1, 0 and q^m
-  ("theta3", coeffs, constraint)             ternary lattice theta series
+  ("f", r, s)                       f(r,s); phiK = f(K,K), psiK = f(K,3K)
+  ("prodap", factors)               products, see qseries.prod_ap
+  ("zero",), ("q", m)               0 and q^m
+  ("theta3", coeffs, constraint)    ternary lattice theta series
   ("theta2", coeffs, linear, const, constraint)
-                                             binary, with an affine part
+                                    binary, with an affine part
 A constraint is None or a lattice.Constraint on the variables' residues.
 
 Notation used in entry descriptions:
@@ -60,7 +60,7 @@ def sub(x, y):
 
 
 def neg(x):
-    return ("neg", x)
+    return scale(-1, x)
 
 
 def mul(*xs):
@@ -92,11 +92,11 @@ def sift(t, s, x):
 
 
 def PHI(k=1):
-    return ("phi", k)
+    return F(k, k)
 
 
 def PSI(k=1):
-    return ("psi", k)
+    return F(k, 3 * k)
 
 
 def F(r, s):
@@ -124,7 +124,6 @@ def A(k=1):
 
 
 ZERO = ("zero",)
-ONE = ("one",)
 T_FORM = (2, 2, 2, -1, 1, 1)
 PHI3 = power(PHI(), 3)
 
@@ -161,16 +160,10 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
     if hit is not None:
         return hit
     op = expr[0]
-    if op == "phi":
-        out = qs.phi(order, expr[1])
-    elif op == "psi":
-        out = qs.psi(order, expr[1])
-    elif op == "f":
+    if op == "f":
         out = qs.theta_f(expr[1], expr[2], order)
     elif op == "prodap":
         out = qs.prod_ap(list(expr[1]), order)
-    elif op == "one":
-        out = qs.one(order)
     elif op == "zero":
         out = qs.zero(order)
     elif op == "q":
@@ -190,8 +183,6 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
             out = out + evaluate(child, order)
     elif op == "sub":
         out = evaluate(expr[1], order) - evaluate(expr[2], order)
-    elif op == "neg":
-        out = -evaluate(expr[1], order)
     elif op == "mul":
         out = evaluate(expr[1], order)
         for child in expr[2:]:
@@ -1028,12 +1019,8 @@ def _entries() -> list[IdentitySpec]:
                 f"X({r}) = phi2 * A[30y^2+30z^2+20yz+20r(y+z)+5r^2], r={r}",
             )
         )
-    out.sort(key=_entry_key)
+    out.sort(key=lambda spec: spec.id)
     return out
-
-
-def _entry_key(spec: IdentitySpec):
-    return spec.id
 
 
 _CATALOG: list[IdentitySpec] | None = None

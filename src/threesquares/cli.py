@@ -3,8 +3,9 @@
 Subcommands: verify (identity catalog), count (single representation
 count), s (sums of three squares), genus (genus reports), prop54 (the
 weighted two-genus identity).  Exit codes: 0 all checks passed, 1 a
-verification failed, 2 usage error.  Output is deterministic: JSON lines
-are sorted-key and timing is confined to the human-readable table.
+verification failed, 2 usage error or out of memory.  Output is
+deterministic: JSON lines are sorted-key and timing is confined to the
+human-readable table.
 """
 
 from __future__ import annotations
@@ -297,6 +298,9 @@ def main(argv=None) -> int:
         raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:
         # A construction that cannot be completed (tg2, lifting) is a

@@ -277,10 +277,6 @@ class Genus:
                 raise ArithmeticError(f"automorph count {n} does not divide 48")
         return tuple(48 // n for n in self.aut_counts)
 
-    def contains(self, form: TernaryForm) -> bool:
-        target = reduce_form(form).as_tuple()
-        return any(m.as_tuple() == target for m in self.members)
-
     def to_json_dict(self) -> dict:
         return {
             "discriminant": self.discriminant,
@@ -321,7 +317,6 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"{p} is not an odd prime")
 
 
-@lru_cache(maxsize=None)
 def tg1(p: int) -> Genus:
     """The genus of all classes of discriminant p^2 (verified unique)."""
     require_odd_prime(p)
@@ -448,43 +443,25 @@ def find_h_between(src: Genus, dst: Genus, max_n: int) -> HResult:
     member(4n) = H(member)(n) for all n <= max_n, if one exists uniquely."""
     if len(src.members) != len(dst.members):
         return HResult("none", (), "genus cardinalities differ")
-    dst_thetas = [theta_series_ternary(g, max_n) for g in dst.members]
-    candidates = []
-    for f, aut_f in zip(src.members, src.aut_counts):
-        theta4 = theta_series_ternary(f, 4 * max_n)
-        pulled = theta4.sift(4, 0).truncate(max_n)
-        row = [
-            j
-            for j, (g, aut_g) in enumerate(zip(dst.members, dst.aut_counts))
-            if aut_f == aut_g and pulled == dst_thetas[j]
-        ]
+    dst_keys = [
+        (aut, theta_series_ternary(g, max_n))
+        for g, aut in zip(dst.members, dst.aut_counts)
+    ]
+    # Partners have equal keys (automorph count, series), so each row is
+    # a whole key group and the group sizes decide existence and uniqueness.
+    rows = []
+    for f, aut in zip(src.members, src.aut_counts):
+        pulled = theta_series_ternary(f, 4 * max_n).sift(4, 0).truncate(max_n)
+        row = tuple(j for j, key in enumerate(dst_keys) if key == (aut, pulled))
         if not row:
             return HResult("none", (), f"no partner for {f}")
-        candidates.append(row)
-    matchings = []
-    _first_matchings(candidates, 0, [], matchings)
-    if not matchings:
+        rows.append(row)
+    if any(rows.count(row) != len(row) for row in rows):
         return HResult("none", (), "no complete matching")
-    if len(matchings) > 1:
+    if any(len(row) > 1 for row in rows):
         return HResult("ambiguous", (), "more than one matching")
-    pairing = tuple(
-        (src.members[i], dst.members[j]) for i, j in enumerate(matchings[0])
-    )
-    return HResult("ok", pairing)
-
-
-def _first_matchings(rows, i, used, out):
-    """Collect complete matchings into out, stopping once it holds two."""
-    if i == len(rows):
-        out.append(list(used))
-        return
-    for j in rows[i]:
-        if j not in used:
-            used.append(j)
-            _first_matchings(rows, i + 1, used, out)
-            used.pop()
-            if len(out) > 1:
-                return
+    pairing = zip(src.members, (dst.members[row[0]] for row in rows))
+    return HResult("ok", tuple(pairing))
 
 
 def find_h(p: int, max_n: int = 500) -> HResult:

@@ -146,9 +146,6 @@ class QSeries:
         a, b = self._pair(other)
         return QSeries(self.trunc, a - b)
 
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.trunc, -self.array)
-
     def scale(self, k: int) -> "QSeries":
         dt = _dtype(max(abs(k), 1) * max(self.bound, 1))
         return QSeries(self.trunc, self.array.astype(dt, copy=False) * k)
@@ -298,24 +295,6 @@ def monomial(trunc: int, exponent: int, coeff: int = 1) -> QSeries:
     return QSeries(trunc, out)
 
 
-def _exponent_counts(exponents, trunc: int) -> QSeries:
-    """The series counting how often each exponent 0..trunc occurs."""
-    return QSeries(trunc, np.bincount(exponents, minlength=trunc + 1))
-
-
-def phi(trunc: int, step: int = 1) -> QSeries:
-    """Sum of q^(step*n^2) over all integers n."""
-    n = np.arange(1, isqrt(trunc // step) + 1, dtype=np.int64)
-    return _exponent_counts(np.concatenate(([0], np.repeat(step * n * n, 2))), trunc)
-
-
-def psi(trunc: int, step: int = 1) -> QSeries:
-    """Sum of q^(step*n(n+1)/2) over n >= 0."""
-    n = np.arange(isqrt(8 * (trunc // step) + 1) // 2 + 1, dtype=np.int64)
-    e = step * (n * (n + 1) // 2)
-    return _exponent_counts(e[e <= trunc], trunc)
-
-
 def theta_f(r: int, s: int, trunc: int) -> QSeries:
     """Two-parameter theta sum of q^(r*n(n-1)/2 + s*n(n+1)/2) over all n."""
     if r < 1 or s < 1:
@@ -323,7 +302,8 @@ def theta_f(r: int, s: int, trunc: int) -> QSeries:
     bound = isqrt(4 * trunc // (r + s)) + 2
     n = np.arange(-bound, bound + 1, dtype=np.int64)
     e = (r * n * (n - 1) + s * n * (n + 1)) // 2
-    return _exponent_counts(e[(e >= 0) & (e <= trunc)], trunc)
+    e = e[(e >= 0) & (e <= trunc)]
+    return QSeries(trunc, np.bincount(e, minlength=trunc + 1))
 
 
 def theta_f_product(r: int, s: int, trunc: int) -> QSeries:

@@ -243,7 +243,7 @@ def test_criterion_9_property_suites():
     # The two engines agree: theta series of the unit form vs phi^3.
     assert theta_series_ternary(
         TernaryForm(1, 1, 1, 0, 0, 0), 1000
-    ) == qs.phi(1000).pow(3)
+    ) == qs.theta_f(1, 1, 1000).pow(3)
     # Counts are invariant under unimodular changes of variables.
     rng = random.Random(5)
     for printed in ((1, 1, 3, 0, 0, 1), (2, 2, 2, -1, 1, 1), (4, 23, 24, 0, 4, 0)):

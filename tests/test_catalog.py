@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from threesquares import qseries as qs
+from threesquares import qseries as qs, verify
 from threesquares.catalog import (
     PHI,
     PHI3,
@@ -40,7 +40,7 @@ def test_lookup():
 def test_e21_sides_are_what_they_claim():
     spec = lookup("E2.1")
     lhs = evaluate(spec.lhs, 40)
-    assert lhs == qs.phi(40).pow(2) - qs.phi(40, 5).pow(2)
+    assert lhs == qs.theta_f(1, 1, 40).pow(2) - qs.theta_f(5, 5, 40).pow(2)
     rhs = evaluate(spec.rhs, 40)
     assert rhs == (
         qs.monomial(40, 1, 4) * qs.theta_f(1, 9, 40) * qs.theta_f(3, 7, 40)
@@ -82,6 +82,34 @@ def test_masked_entries_compare_only_selected_residues():
 def test_evaluator_rejects_unknown_node():
     with pytest.raises(ValueError):
         evaluate(("what", 1), 10)
+
+
+# What each node kind holds after its tag: child trees, or data.
+NODE_CHILDREN = {
+    "f": (), "prodap": (), "zero": (), "q": (), "theta3": (), "theta2": (),
+    "add": "all", "sub": "all", "mul": "all", "scale": (2,), "pow": (1,),
+    "div": "all", "dilate": (2,), "alt": (1,), "sift": (3,),
+}
+
+
+def node_kinds(expr, found):
+    found.add(expr[0])
+    where = NODE_CHILDREN[expr[0]]
+    for i in (range(1, len(expr)) if where == "all" else where):
+        node_kinds(expr[i], found)
+    return found
+
+
+def test_catalog_trees_use_exactly_the_evaluator_node_kinds():
+    specs = catalog() + verify._HS3_SPECS + verify._HS5_SPECS
+    found = set()
+    for spec in specs:
+        node_kinds(spec.lhs, found)
+        node_kinds(spec.rhs, found)
+    assert found == set(NODE_CHILDREN)
+    for retired in (("phi", 1), ("psi", 1), ("one",), ("neg", ("q", 1))):
+        with pytest.raises(ValueError, match="unknown expression node"):
+            evaluate(retired, 10)
 
 
 def test_sift_node_pulls_deeper_order():

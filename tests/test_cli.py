@@ -222,6 +222,19 @@ def test_runtime_error_is_a_one_line_failure(monkeypatch, capsys):
     assert err == "error: no genus of discriminant 16*23^2 qualifies\n"
 
 
+def test_out_of_memory_is_a_one_line_usage_error(monkeypatch, capsys):
+    from threesquares import cli
+
+    def exhausted(order, ids=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_catalog", exhausted)
+    code, out, err = run_cli(["verify", "--id", "E1.9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_int64_bound_is_a_usage_error(capsys):
     code, out, err = run_cli(
         ["genus", "--disc", "4611686018427387904"], capsys

@@ -33,7 +33,8 @@ TG2_17 = [(7, 11, 20, -8, 4, 6), (3, 23, 23, -22, 2, 2)]
 def genus_equals(genus, printed):
     if len(genus.members) != len(printed):
         return False
-    return all(genus.contains(TernaryForm(*t)) for t in printed)
+    members = {m.as_tuple() for m in genus.members}
+    return all(reduce_form(TernaryForm(*t)).as_tuple() in members for t in printed)
 
 
 def test_single_genus_at_prime_squares():
@@ -202,13 +203,24 @@ def test_genus_of_reduces_its_form_once(monkeypatch):
 
 
 def test_matching_search_stops_at_the_second_match():
-    # Eight interchangeable members admit 8! = 40320 matchings; two
-    # already decide that the pairing is ambiguous.
+    # Eight interchangeable members admit 8! = 40320 matchings; the size
+    # of their one key group already decides that the pairing is ambiguous.
     i3 = TernaryForm(1, 1, 1, 0, 0, 0)
     g = Genus(4, (i3,) * 8, (48,) * 8)
     result = find_h_between(g, g, 20)
     assert result.status == "ambiguous"
     assert "40320" not in result.detail
+
+
+def test_two_members_with_one_partner_have_no_complete_matching():
+    # Both src members pair only with dst's first member: each has a
+    # partner, yet no bijection exists.
+    i3, other = TernaryForm(1, 1, 1, 0, 0, 0), TernaryForm(1, 1, 4, 0, 0, 0)
+    src = Genus(4, (i3, i3), (48, 48))
+    dst = Genus(4, (i3, other), (48, 16))
+    assert find_h_between(src, dst, 20) == genera.HResult(
+        "none", (), "no complete matching"
+    )
 
 
 # -- Jordan splitting: the Fraction code the integer splitting replaced -----

@@ -287,13 +287,13 @@ def test_s_table_int32_certificate():
 def test_four_routes_to_s_agree(n_max):
     table = s_table(n_max)
     theta = theta_series_ternary(identity_form(), n_max)
-    cube = qs.phi(n_max).pow(3)
+    cube = qs.theta_f(1, 1, n_max).pow(3)
     for n in range(n_max + 1):
         assert int(table[n]) == theta[n] == cube[n] == s_of_n(n), n
 
 
 def test_theta_ternary_equals_phi_cubed():
-    assert theta_series_ternary(identity_form(), 500) == qs.phi(500).pow(3)
+    assert theta_series_ternary(identity_form(), 500) == qs.theta_f(1, 1, 500).pow(3)
 
 
 def test_theta_spot_values():
@@ -364,7 +364,7 @@ def test_opposite_parity_constrained_sum():
     # 2 q psi(q^2) psi(q^6).
     con = Constraint(2, frozenset({(0, 1), (1, 0)}))
     lhs = theta_series_binary(BinaryForm(1, 0, 3), 200, con)
-    rhs = qs.monomial(200, 1, 2) * qs.psi(200, 2) * qs.psi(200, 6)
+    rhs = qs.monomial(200, 1, 2) * qs.theta_f(2, 6, 200) * qs.theta_f(6, 18, 200)
     assert lhs == rhs
 
 

@@ -29,6 +29,16 @@ def distinct_part_count(n, parts):
     return ways[n]
 
 
+def phi_series(trunc, k=1):
+    """phi(q^k) = f(q^k, q^k)."""
+    return qs.theta_f(k, k, trunc)
+
+
+def psi_series(trunc, k=1):
+    """psi(q^k) = f(q^k, q^3k)."""
+    return qs.theta_f(k, 3 * k, trunc)
+
+
 def series(coeffs):
     return QSeries(len(coeffs) - 1, tuple(coeffs))
 
@@ -48,7 +58,7 @@ def paired(draw_len=40):
 
 
 def test_phi_counts_signed_squares():
-    phi = qs.phi(30)
+    phi = phi_series(30)
     for n in range(31):
         expected = sum(1 for k in range(-6, 7) if k * k == n)
         assert phi[n] == expected
@@ -56,7 +66,7 @@ def test_phi_counts_signed_squares():
 
 
 def test_psi_counts_triangular_numbers():
-    psi = qs.psi(30)
+    psi = psi_series(30)
     tri = {k * (k + 1) // 2 for k in range(10)}
     for n in range(31):
         assert psi[n] == (1 if n in tri else 0)
@@ -115,32 +125,27 @@ def test_phi_psi_eta_quotients():
         .pow(5)
         .divide_exact(qs.euler_e(4, n).pow(2) * qs.euler_e(1, n).pow(2))
     )
-    assert phi_quot == qs.phi(n)
+    assert phi_quot == phi_series(n)
     psi_quot = qs.euler_e(2, n).pow(2).divide_exact(qs.euler_e(1, n))
-    assert psi_quot == qs.psi(n)
-
-
-def test_theta_f_special_values():
-    assert qs.theta_f(1, 1, 50) == qs.phi(50)
-    assert qs.theta_f(1, 3, 50) == qs.psi(50)
+    assert psi_quot == psi_series(n)
 
 
 # -- arithmetic: frozen spot values -------------------------------------------
 
 
 def test_additive_inverse_and_scale():
-    phi = qs.phi(20)
-    assert (phi + (-phi)).is_zero()
+    phi = phi_series(20)
+    assert (phi + phi.scale(-1)).is_zero()
     assert phi.scale(2)[1] == 4
 
 
 def test_sub_phi_squares_at_q1():
-    lhs = qs.phi(20).pow(2) - qs.phi(20, 5).pow(2)
+    lhs = phi_series(20).pow(2) - phi_series(20, 5).pow(2)
     assert lhs[1] == 4
 
 
 def test_mul_identity_and_cube():
-    phi = qs.phi(20)
+    phi = phi_series(20)
     assert phi * qs.one(20) == phi
     assert (phi * (phi * phi))[1] == 6
 
@@ -153,34 +158,34 @@ def test_psi_square_by_convolution():
         for t2 in tri:
             if t1 + t2 <= 20:
                 conv[t1 + t2] += 1
-    psi2 = qs.psi(20).pow(2)
+    psi2 = psi_series(20).pow(2)
     assert psi2.coeffs == tuple(conv)
     assert psi2[2] == 1
 
 
 def test_divide_exact_examples():
-    phi = qs.phi(30)
+    phi = phi_series(30)
     assert phi.divide_exact(phi) == qs.one(30)
-    quot = phi.pow(4).divide_exact(qs.phi(30, 3))
+    quot = phi.pow(4).divide_exact(phi_series(30, 3))
     assert quot[0] == 1 and quot[1] == 8
 
 
 def test_divide_exact_requires_unit():
     with pytest.raises(ValueError):
-        qs.phi(10).divide_exact(qs.monomial(10, 1))
+        phi_series(10).divide_exact(qs.monomial(10, 1))
 
 
 def test_truncation_mismatch_is_an_error():
     with pytest.raises(TruncationMismatch):
-        qs.phi(10) + qs.phi(11)
+        phi_series(10) + phi_series(11)
     with pytest.raises(TruncationMismatch):
-        qs.phi(10) * qs.phi(11)
+        phi_series(10) * phi_series(11)
 
 
 def test_dilate_sift_alternate_basics():
-    phi = qs.phi(40)
+    phi = phi_series(40)
     assert phi.dilate(1) == phi
-    assert phi.dilate(4) == qs.phi(40, 4)
+    assert phi.dilate(4) == phi_series(40, 4)
     assert phi.alternate().alternate() == phi
     assert phi.alternate()[1] == -2
     assert phi.dilate(2).dilate(3) == phi.dilate(6)
@@ -200,7 +205,7 @@ def test_sift_spot_values():
 
     expect = [s_brute(5 * k + 1) for k in range(5)]
     assert expect == [6, 24, 24, 6, 48]
-    sifted = qs.phi(26).pow(3).sift(5, 1)
+    sifted = phi_series(26).pow(3).sift(5, 1)
     assert list(sifted.coeffs)[:5] == expect
 
 
@@ -219,9 +224,9 @@ def test_sift_inverts_shifted_dilation():
 
 def test_sift_validation():
     with pytest.raises(ValueError):
-        qs.phi(10).sift(3, 3)
+        phi_series(10).sift(3, 3)
     with pytest.raises(ValueError):
-        qs.phi(10).sift(0, 0)
+        phi_series(10).sift(0, 0)
 
 
 def test_json_round_trip():
@@ -445,7 +450,7 @@ def test_sparse_products_take_the_outer_path(monkeypatch):
     monkeypatch.setattr(
         qs, "_outer", lambda *args: calls.append(args[6]) or outer(*args)
     )
-    phi = qs.phi(4000)
+    phi = phi_series(4000)
     assert (phi * phi).coeffs == ref_mul(phi.coeffs, phi.coeffs)
     assert calls == [4000]
 
@@ -530,7 +535,7 @@ def test_distinct_odd_parts_at_order_7005_stays_exact():
 
 
 def test_series_arrays_are_read_only():
-    ser = qs.phi(10) * qs.psi(10)
+    ser = phi_series(10) * psi_series(10)
     for view in (ser.array, ser.truncate(4).array, ser.sift(3, 1).array):
         with pytest.raises(ValueError):
             view[0] = 7

@@ -102,7 +102,7 @@ def test_sifting_chain_routes_agree():
 
     order = 200
     outer = 25 * order
-    qseries_route = qs.phi(outer).pow(3)
+    qseries_route = qs.theta_f(1, 1, outer).pow(3)
     lattice_route = theta_series_ternary(
         TernaryForm(1, 1, 1, 0, 0, 0), outer
     )
