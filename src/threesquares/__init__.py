@@ -41,14 +41,10 @@ from .forms import (
     reduce_form_with_transform,
 )
 from .genera import (
-    BinaryClass,
     Genus,
     HResult,
-    binary_classes,
     find_h,
-    genus_of,
     genus_partition,
-    lift_binary_to_ternary,
     same_genus,
     tg1,
     tg2,
@@ -99,14 +95,10 @@ __all__ = [
     "legendre",
     "reduce_form",
     "reduce_form_with_transform",
-    "BinaryClass",
     "Genus",
     "HResult",
-    "binary_classes",
     "find_h",
-    "genus_of",
     "genus_partition",
-    "lift_binary_to_ternary",
     "same_genus",
     "tg1",
     "tg2",

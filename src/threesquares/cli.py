@@ -17,10 +17,10 @@ import json
 import os
 import sys
 
-from .catalog import catalog, lookup
+from .catalog import catalog
 from .genera import find_h, genus_partition, require_odd_prime, tg1, tg2
-from .lattice import TernaryForm, rep_count_ternary, s_table
-from .verify import run_catalog, verify_prop54
+from .lattice import TernaryForm, point_array_bytes, rep_count_ternary, s_table
+from .verify import array_bytes, run_catalog, verify_prop54
 
 DEFAULT_ORDER = 1000
 
@@ -30,6 +30,10 @@ USAGE_ERROR = 2
 # x^2 + y^2 + z^2: 10^6 takes about 1.4 s on a 2-vCPU Xeon, 10^7 about 14 s.
 COUNT_MAX_N = 10**6
 
+# No array may pass the largest s table the int32 certificate admits,
+# 16384^2 entries of 4 bytes.  Commands bound their arrays before any work.
+ARRAY_CAP = 1 << 30
+
 
 class UsageError(SystemExit):
     def __init__(self, message: str):
@@ -37,8 +41,16 @@ class UsageError(SystemExit):
         super().__init__(USAGE_ERROR)
 
 
-def _order(args) -> int:
-    """The truncation order: --order, else TERNARY_ORDER, else the default."""
+def _require_cap(name: str, value: int, need: int) -> None:
+    if need > ARRAY_CAP:
+        raise UsageError(
+            f"{name} {value} needs a {need}-byte array, "
+            f"over the {ARRAY_CAP}-byte cap of an int32 s table"
+        )
+
+
+def _order(args) -> tuple[str, int]:
+    """(name, order): --order, else TERNARY_ORDER, else the default."""
     if args.order is not None:
         name, order = "--order", args.order
     else:
@@ -49,7 +61,7 @@ def _order(args) -> int:
             raise UsageError(f"TERNARY_ORDER must be an integer, got {env!r}")
     if order < 0:
         raise UsageError(f"{name} must be non-negative, got {order}")
-    return order
+    return name, order
 
 
 def _emit(
@@ -101,15 +113,19 @@ def _parse_form(text: str):
 
 
 def _cmd_verify(args) -> int:
-    order = _order(args)
+    name, order = _order(args)
+    specs = catalog()
     if args.all or not args.id:
         ids = None
     else:
         ids = args.id
-        known = {s.id for s in catalog()}
+        known = {s.id for s in specs}
         for ident in ids:
             if ident not in known:
                 raise UsageError(f"unknown identity id {ident!r}")
+        specs = [s for s in specs if s.id in ids]
+    need = max(array_bytes(x, order) for s in specs for x in (s.lhs, s.rhs))
+    _require_cap(name, order, need)
     reports = run_catalog(order, ids)
     rows = []
     for r in reports:
@@ -169,9 +185,11 @@ def _cmd_genus(args) -> int:
     if args.p is None and args.disc is None:
         raise UsageError("genus needs --p or --disc")
     if args.p is not None:
+        # find_h pulls tg2's theta series back from 4 * max_n.
+        _require_cap("--max-n", args.max_n, point_array_bytes(3, 4 * args.max_n))
         genus1, genus2 = tg1(args.p), tg2(args.p)
+        pairing = find_h(args.p, args.max_n)
         if args.format == "json":
-            pairing = find_h(args.p, args.max_n)
             doc = {
                 "p": args.p,
                 "tg1": genus1.to_json_dict(),
@@ -187,7 +205,6 @@ def _cmd_genus(args) -> int:
         rows = _genus_rows(genus1, f"TG1,{args.p}") + _genus_rows(
             genus2, f"TG2,{args.p}"
         )
-        pairing = find_h(args.p, args.max_n)
         trailer = f"pullback bijection: {pairing.status}\n" + "".join(
             f"  {a} -> {b}\n" for a, b in pairing.mapping
         )
@@ -219,6 +236,8 @@ def _cmd_prop54(args) -> int:
             raise UsageError(f"malformed prime {part!r}")
         require_odd_prime(p)
         primes.append(p)
+    s_bytes = 4 * (max(primes) ** 2 * args.max_n + 1)
+    _require_cap("--max-n", args.max_n, max(s_bytes, point_array_bytes(3, args.max_n)))
     rows = []
     all_pass = True
     for p in primes:

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .lattice import TernaryForm, theta_series_ternary
 from .forms import (
+    apply_transform,
     automorph_count,
     enumerate_classes,
     is_prime,
@@ -302,19 +304,26 @@ def genus_partition(disc: int) -> tuple[Genus, ...]:
     return tuple(genera)
 
 
-def genus_of(form: TernaryForm) -> Genus:
-    canonical = reduce_form(form)
-    key = canonical.as_tuple()
-    for genus in genus_partition(canonical.disc()):
-        if any(m.as_tuple() == key for m in genus.members):
-            return genus
-    raise RuntimeError(f"form {form} missing from its own discriminant")
-
-
 def require_odd_prime(p: int) -> None:
     """The one guard on a prime argument: ValueError unless p is an odd prime."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+
+
+def _require_eichler_mass(genus: Genus, name: str, p: int) -> Genus:
+    """The genus, once its mass sum 1/|Aut| is checked to be (p - 1)/48.
+
+    Eichler's mass of the maximal orders of the quaternion algebra
+    ramified at p and infinity, to which the lattices of discriminant p^2
+    correspond (Gross, CMS Conf. Proc. 7, 1987).
+    """
+    mass = sum(genus.weights48())
+    if mass != p - 1:
+        raise RuntimeError(
+            f"{name}({p}) has Eichler mass {mass}/48, expected {p - 1}/48: "
+            f"{p - 1 - mass}/48 missing"
+        )
+    return genus
 
 
 def tg1(p: int) -> Genus:
@@ -326,106 +335,55 @@ def tg1(p: int) -> Genus:
             f"discriminant {p * p} split into {len(partition)} genera; "
             "expected a single genus"
         )
-    return partition[0]
+    return _require_eichler_mass(partition[0], "tg1", p)
 
 
-# -- binary forms of discriminant -p and their ternary lift ----------------
+def overlattice(form: TernaryForm) -> TernaryForm:
+    """The lattice 2M + Zx of a member M of tg1(p), reduced.
 
-
-@dataclass(frozen=True)
-class BinaryClass:
-    """Reduced binary form a*x^2 + b*xz + c*z^2 with b^2 - 4ac = -p."""
-
-    a: int
-    b: int
-    c: int
-
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
-def binary_classes(p: int) -> tuple[BinaryClass, ...]:
-    """All reduced binary classes of discriminant -p (p ≡ 3 mod 4)."""
-    require_odd_prime(p)
-    if p % 4 != 3:
-        raise ValueError("discriminant -p requires p ≡ 3 mod 4")
-    out = []
-    b = 1
-    while b * b <= p // 3 + 1:
-        if (b * b + p) % 4 == 0:
-            m = (b * b + p) // 4
-            a = b
-            while a * a <= m:
-                if a >= b and m % a == 0:
-                    c = m // a
-                    if abs(b) <= a <= c:
-                        out.append(BinaryClass(a, b, c))
-                        if b < a < c:
-                            out.append(BinaryClass(a, -b, c))
-                a += 1
-        b += 2
-    return tuple(sorted(out, key=lambda f: (f.a, -f.b, f.c)))
-
-
-def lift_binary_to_ternary(bform: BinaryClass, p: int) -> TernaryForm:
-    """4a x^2 + p y^2 + 4c z^2 + 4|b| xz; checked to have discriminant 16p^2."""
-    if bform.disc() != -p:
-        raise ValueError(f"binary discriminant {bform.disc()} is not -{p}")
-    if p % 4 != 3:
-        raise ValueError("lift requires p ≡ 3 mod 4")
-    lifted = TernaryForm(4 * bform.a, p, 4 * bform.c, 0, 4 * abs(bform.b), 0)
-    if lifted.disc() != 16 * p * p:
-        raise RuntimeError(f"lift of {bform} has discriminant {lifted.disc()}")
-    return lifted
-
-
-def _tg2_seed(p: int) -> TernaryForm | None:
-    if p % 4 == 3:
-        return lift_binary_to_ternary(BinaryClass(1, 1, (p + 1) // 4), p)
-    if p % 3 == 2:
-        big = (4 * p + 1) // 3
-        return TernaryForm(3, big, big, (2 - 4 * p) // 3, 2, 2)
-    if p % 8 == 5:
-        return TernaryForm(8, (p + 1) // 2, p + 2, 2, 8, 4)
-    return None
-
-
-def _vanishes_mod4(form: TernaryForm, bound: int = 200) -> bool:
-    theta = theta_series_ternary(form, bound).array
-    return not (theta[1::4].any() or theta[2::4].any())
-
-
-@lru_cache(maxsize=None)
-def tg2(p: int) -> Genus:
-    """The distinguished genus of discriminant 16 p^2.
-
-    Seeded by congruence family when p ≡ 3 mod 4, p ≡ 2 mod 3 or
-    p ≡ 5 mod 8; otherwise selected as the unique genus whose members
-    vanish on exponents ≡ 1, 2 mod 4 and admit an automorph-preserving
-    pullback bijection onto tg1(p).
+    x is the one nonzero x in {0, 1}^3 with G x = 0 mod 2 (G the doubled
+    Gram), and Q(x) = 3 mod 4, else RuntimeError.  As Q(x + 2y) = Q(x) +
+    2b(x, y) + 4Q(y) with 2b(x, y) = 0 mod 4, values are 0 mod 4 exactly
+    on 2M, so r(4n) = r_M(n), Aut is Aut(M) and distinct M stay distinct:
+    a Watson transformation read backwards (Watson, Proc. LMS 12, 1962).
+    The basis, x in a column i with x_i = 1 and 2e_j in the other two,
+    has determinant 4: the discriminant is 16 times that of M.
     """
-    require_odd_prime(p)
-    seed = _tg2_seed(p)
-    if seed is not None:
-        genus = genus_of(seed)
-        if genus.discriminant != 16 * p * p:
-            raise RuntimeError("seed produced the wrong discriminant")
-        return genus
-    matches = []
-    for genus in genus_partition(16 * p * p):
-        if all(_vanishes_mod4(m) for m in genus.members):
-            if find_h_between(genus, tg1(p), 500).status == "ok":
-                matches.append(genus)
-    if not matches:
-        raise RuntimeError(f"no genus of discriminant 16*{p}^2 qualifies")
-    if len(matches) > 1:
+    g = form.gram2()
+    kernel = [
+        x for x in product((0, 1), repeat=3)
+        if any(x) and all(sum(r * c for r, c in zip(row, x)) % 2 == 0 for row in g)
+    ]
+    if len(kernel) != 1:
         raise RuntimeError(
-            f"ambiguous selection for p={p}: {len(matches)} genera qualify"
+            f"{form} has {len(kernel)} nonzero vectors x in {{0,1}}^3 with "
+            "Gx = 0 mod 2; expected exactly one"
         )
-    return matches[0]
+    x = kernel[0]
+    if form.value(*x) % 4 != 3:
+        raise RuntimeError(f"{form} has Q{x} = {form.value(*x)}, not 3 mod 4")
+    i = x.index(1)
+    u = tuple(
+        tuple(x[r] if j == i else 2 * (r == j) for j in range(3)) for r in range(3)
+    )
+    return reduce_form(apply_transform(form, u))
+
+
+def tg2(p: int) -> Genus:
+    """The distinguished genus of discriminant 16 p^2: the overlattices of tg1(p).
+
+    Automorph counts are computed afresh, so the mass check is a real one;
+    RuntimeError when two members coincide or one has another discriminant.
+    """
+    disc = 16 * p * p
+    members = sorted(map(overlattice, tg1(p).members), key=TernaryForm.as_tuple)
+    if len(set(members)) != len(members) or any(m.disc() != disc for m in members):
+        raise RuntimeError(
+            f"the overlattices of tg1({p}) are not distinct classes of "
+            f"discriminant {disc}: {[m.as_tuple() for m in members]}"
+        )
+    genus = Genus(disc, tuple(members), tuple(automorph_count(m) for m in members))
+    return _require_eichler_mass(genus, "tg2", p)
 
 
 # -- the pullback bijection -------------------------------------------------

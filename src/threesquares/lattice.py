@@ -275,20 +275,29 @@ def rep_count_ternary(form: TernaryForm, n: int) -> int:
     return count
 
 
-_I3 = None
-
-
 def identity_form() -> TernaryForm:
     """The sum of three squares form x^2 + y^2 + z^2."""
-    global _I3
-    if _I3 is None:
-        _I3 = TernaryForm(1, 1, 1, 0, 0, 0)
-    return _I3
+    return TernaryForm(1, 1, 1, 0, 0, 0)
 
 
 def s_of_n(n: int) -> int:
     """Number of representations of n as a sum of three squares."""
     return rep_count_ternary(identity_form(), n)
+
+
+def point_array_bytes(arity: int, num: int, den: int = 1) -> int:
+    """A bound on the bytes of the int64 rows (coordinates, value) of the
+    integer v with Q(v + h) <= num/den, for any integral positive form Q
+    in arity variables and any real shift h.
+
+    Distinct points differ by a vector of value >= 1, so balls of radius
+    1/2 about them, in the metric of Q, are disjoint inside the ball of
+    radius R + 1/2, R^2 = num/den: at most (2R + 1)^arity points, and
+    2R < isqrt(4*num // den) + 1.
+    """
+    if num < 0:
+        return 0
+    return 8 * (arity + 1) * (isqrt(4 * num // den) + 2) ** arity
 
 
 # Every point of x^2 + y^2 + z^2 = n has |x|, |y| <= isqrt(n), and each

@@ -33,15 +33,8 @@ from .catalog import (
     theta3,
 )
 from .forms import legendre
-from .genera import (
-    HResult,
-    _vanishes_mod4,
-    find_h,
-    require_odd_prime,
-    tg1,
-    tg2,
-)
-from .lattice import s_table
+from .genera import HResult, find_h, require_odd_prime, tg1, tg2
+from .lattice import point_array_bytes, s_table, theta_series_ternary
 
 
 @dataclass(frozen=True)
@@ -52,8 +45,8 @@ class VerificationReport:
     first_mismatch: tuple | None  # (exponent, lhs, rhs)
     elapsed: float
 
-    def to_json_dict(self, with_elapsed: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "id": self.id,
             "order": self.order,
             "status": self.status,
@@ -61,9 +54,6 @@ class VerificationReport:
             if self.first_mismatch
             else None,
         }
-        if with_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def _first_mismatch(lhs, rhs, keep=None) -> int | None:
@@ -105,6 +95,32 @@ def verify_identity(spec_or_id, order: int) -> VerificationReport:
     elapsed = time.perf_counter() - start
     status = "pass" if mismatch is None else "fail"
     return VerificationReport(spec.id, order, status, mismatch, elapsed)
+
+
+def array_bytes(expr: tuple, order: int) -> int:
+    """A bound on the bytes of the largest array evaluate(expr, order)
+    builds: a sift asks its child for t*order + s, other nodes pass their
+    order on, and the deepest arrays are leaves.
+
+    Completing the square, a binary leaf's exponent is <= N where its
+    quadratic part at (m, n) + h is <= N - w + (c u^2 - b u v + a v^2) /
+    (4ac - b^2).
+    """
+    op = expr[0]
+    if op == "sift":
+        return array_bytes(expr[3], expr[1] * order + expr[2])
+    if op == "theta3":
+        return point_array_bytes(3, order)
+    if op == "theta2":
+        (a, b, c), (u, v), w = expr[1:4]
+        d = 4 * a * c - b * b
+        shift = c * u * u - b * u * v + a * v * v
+        return point_array_bytes(2, (order - w) * d + shift, d)
+    # The tuple arguments of an interior node are its subtrees.
+    children = () if op == "prodap" else [x for x in expr[1:] if isinstance(x, tuple)]
+    return max(
+        (array_bytes(child, order) for child in children), default=8 * (order + 1)
+    )
 
 
 def run_catalog(order: int, ids=None) -> list[VerificationReport]:
@@ -380,8 +396,9 @@ def verify_signature(p: int, max_n: int) -> SignatureReport:
     """
     result: HResult = find_h(p, max_n)
     pullback_ok = result.status == "ok"
-    vanishing_ok = pullback_ok and all(
-        _vanishes_mod4(f, max_n) for f, _g in result.mapping
+    thetas = [theta_series_ternary(f, max_n).array for f, _g in result.mapping]
+    vanishing_ok = pullback_ok and not any(
+        t[1::4].any() or t[2::4].any() for t in thetas
     )
     return SignatureReport(
         p,

@@ -6,6 +6,12 @@ import json
 import pytest
 
 from threesquares import qseries as qs, verify
+from threesquares.lattice import (
+    BinaryForm,
+    TernaryForm,
+    short_vectors,
+    theta_series_binary,
+)
 from threesquares.catalog import (
     PHI,
     PHI3,
@@ -21,7 +27,7 @@ from threesquares.catalog import (
     scale,
     sift,
 )
-from threesquares.verify import verify_identity
+from threesquares.verify import array_bytes, verify_identity
 
 
 def test_catalog_size_and_order():
@@ -110,6 +116,39 @@ def test_catalog_trees_use_exactly_the_evaluator_node_kinds():
     for retired in (("phi", 1), ("psi", 1), ("one",), ("neg", ("q", 1))):
         with pytest.raises(ValueError, match="unknown expression node"):
             evaluate(retired, 10)
+
+
+def lattice_leaves(expr, found):
+    if expr[0] in ("theta3", "theta2"):
+        found.add(expr)
+    where = NODE_CHILDREN[expr[0]]
+    for i in (range(1, len(expr)) if where == "all" else where):
+        lattice_leaves(expr[i], found)
+    return found
+
+
+def test_array_bytes_bounds_every_lattice_leaf():
+    leaves = set()
+    for spec in catalog() + verify._HS3_SPECS + verify._HS5_SPECS:
+        lattice_leaves(spec.lhs, leaves)
+        lattice_leaves(spec.rhs, leaves)
+    assert {leaf[0] for leaf in leaves} == {"theta3", "theta2"}
+    for leaf in leaves:
+        for order in (0, 1, 7, 200):
+            if leaf[0] == "theta3":
+                built = short_vectors(TernaryForm(*leaf[1]), order).nbytes
+            else:
+                (a, b, c), linear, const = leaf[1:4]
+                bform = BinaryForm(a, b, c, linear=linear, const=const)
+                built = 8 * 3 * int(theta_series_binary(bform, order).array.sum())
+            assert built <= array_bytes(leaf, order), (leaf, order)
+
+
+def test_array_bytes_follows_the_evaluator_orders():
+    assert array_bytes(sift(25, 0, PHI3), 10) == array_bytes(PHI3, 250) == 8 * 251
+    theta = ("theta3", (1, 1, 1, 0, 0, 0), None)
+    assert array_bytes(sift(4, 2, mul(PHI(), theta)), 10) == array_bytes(theta, 42)
+    assert array_bytes(theta, 42) == 8 * 4 * (12 + 2) ** 3
 
 
 def test_sift_node_pulls_deeper_order():

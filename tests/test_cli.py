@@ -314,3 +314,98 @@ def test_huge_discriminant_is_refused_by_the_scan_certificate(capsys):
     assert (code, out) == (2, "")
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: class scan of discriminant") and "int64" in err
+
+
+def _refuses_before_work(monkeypatch, capsys, module_attrs, argv):
+    from threesquares import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the array cap check")
+
+    for attr in module_attrs:
+        monkeypatch.setattr(cli, attr, unreachable)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def _passes_the_cap(monkeypatch, capsys, attr, argv):
+    # The guard lets the size through when the work itself starts.
+    from threesquares import cli
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached")
+
+    monkeypatch.setattr(cli, attr, reached)
+    assert run_cli(argv, capsys) == (1, "", "error: reached\n")
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+def test_verify_order_above_the_array_cap(monkeypatch, capsys, via_env):
+    from threesquares import cli
+
+    # The deepest ternary theta of the catalog runs to 4 * order + 2, and
+    # point_array_bytes(3, 4 * 6439 + 2) is the last size within 1 GiB.
+    def argv(order):
+        if via_env:
+            monkeypatch.setenv("TERNARY_ORDER", str(order))
+            return ["verify", "--all"]
+        return ["verify", "--all", "--order", str(order)]
+
+    name = "TERNARY_ORDER" if via_env else "--order"
+    err = _refuses_before_work(monkeypatch, capsys, ["run_catalog"], argv(6440))
+    assert err == (
+        f"error: {name} 6440 needs a {32 * 323**3}-byte array, "
+        f"over the {cli.ARRAY_CAP}-byte cap of an int32 s table\n"
+    )
+    _passes_the_cap(monkeypatch, capsys, "run_catalog", argv(6439))
+    # One identity is bounded by its own trees: E1.9 has no lattice leaf.
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["run_catalog"],
+        ["verify", "--id", "E1.9", "--order", "1000000000"],
+    )
+    assert "--order 1000000000 needs a 8000000008-byte array" in err
+
+
+def test_genus_max_n_above_the_array_cap(monkeypatch, capsys):
+    # find_h takes tg2's theta series to 4 * max_n.
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["tg1", "tg2", "find_h"],
+        ["genus", "--p", "73", "--max-n", "6441"],
+    )
+    assert err.startswith("error: --max-n 6441 needs a ") and "-byte cap" in err
+    _passes_the_cap(
+        monkeypatch, capsys, "tg1", ["genus", "--p", "73", "--max-n", "6440"]
+    )
+
+
+def test_prop54_max_n_above_the_array_cap(monkeypatch, capsys):
+    # The theta series to max_n decide for small primes, the int32 s table
+    # to p^2 * max_n for the largest prime when it passes 16384^2 entries.
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["verify_prop54"],
+        ["prop54", "--p", "3,127", "--max-n", "20000"],
+    )
+    assert err.startswith(f"error: --max-n 20000 needs a {4 * (127**2 * 20000 + 1)}-")
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["verify_prop54"],
+        ["prop54", "--p", "3,5", "--max-n", "25761"],
+    )
+    assert err.startswith("error: --max-n 25761 needs a ") and "-byte cap" in err
+    _passes_the_cap(
+        monkeypatch, capsys, "verify_prop54",
+        ["prop54", "--p", "3,5", "--max-n", "25760"],
+    )
+
+
+def test_benchmark_sizes_stay_far_below_every_cap():
+    from threesquares import cli
+    from threesquares.catalog import catalog
+    from threesquares.lattice import point_array_bytes
+    from threesquares.verify import array_bytes
+
+    verify_all = max(array_bytes(x, 1000) for s in catalog() for x in (s.lhs, s.rhs))
+    genus = point_array_bytes(3, 4 * 500)
+    prop54 = max(4 * (23**2 * 1000 + 1), point_array_bytes(3, 1000))
+    assert max(verify_all, genus, prop54) * 16 <= cli.ARRAY_CAP

@@ -1,24 +1,23 @@
 """Genus partitioning, the two distinguished genera, and the bijection."""
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from threesquares import genera
-from threesquares.lattice import TernaryForm
+from threesquares.lattice import TernaryForm, theta_series_ternary
 from threesquares.forms import enumerate_classes, reduce_form
 from threesquares.genera import (
-    BinaryClass,
     Genus,
-    binary_classes,
     find_h,
     find_h_between,
-    genus_of,
     genus_partition,
     genus_symbol,
-    lift_binary_to_ternary,
+    overlattice,
+    require_odd_prime,
     same_genus,
     tg1,
     tg2,
@@ -30,6 +29,107 @@ TG1_17 = [(3, 5, 6, 1, 2, 3), (3, 6, 6, -5, 2, 2)]
 TG2_17 = [(7, 11, 20, -8, 4, 6), (3, 23, 23, -22, 2, 2)]
 
 
+# -- tg2 by search: the code the overlattice construction replaced ----------
+
+
+def ref_genus_of(form):
+    canonical = reduce_form(form)
+    key = canonical.as_tuple()
+    for genus in genus_partition(canonical.disc()):
+        if any(m.as_tuple() == key for m in genus.members):
+            return genus
+    raise RuntimeError(f"form {form} missing from its own discriminant")
+
+
+@dataclass(frozen=True)
+class BinaryClass:
+    """Reduced binary form a*x^2 + b*xz + c*z^2 with b^2 - 4ac = -p."""
+
+    a: int
+    b: int
+    c: int
+
+    def disc(self):
+        return self.b * self.b - 4 * self.a * self.c
+
+    def as_tuple(self):
+        return (self.a, self.b, self.c)
+
+
+def ref_binary_classes(p):
+    """All reduced binary classes of discriminant -p (p = 3 mod 4)."""
+    require_odd_prime(p)
+    if p % 4 != 3:
+        raise ValueError("discriminant -p requires p ≡ 3 mod 4")
+    out = []
+    b = 1
+    while b * b <= p // 3 + 1:
+        if (b * b + p) % 4 == 0:
+            m = (b * b + p) // 4
+            a = b
+            while a * a <= m:
+                if a >= b and m % a == 0:
+                    c = m // a
+                    if abs(b) <= a <= c:
+                        out.append(BinaryClass(a, b, c))
+                        if b < a < c:
+                            out.append(BinaryClass(a, -b, c))
+                a += 1
+        b += 2
+    return tuple(sorted(out, key=lambda f: (f.a, -f.b, f.c)))
+
+
+def ref_lift_binary_to_ternary(bform, p):
+    """4a x^2 + p y^2 + 4c z^2 + 4|b| xz; checked to have discriminant 16p^2."""
+    if bform.disc() != -p:
+        raise ValueError(f"binary discriminant {bform.disc()} is not -{p}")
+    if p % 4 != 3:
+        raise ValueError("lift requires p ≡ 3 mod 4")
+    lifted = TernaryForm(4 * bform.a, p, 4 * bform.c, 0, 4 * abs(bform.b), 0)
+    if lifted.disc() != 16 * p * p:
+        raise RuntimeError(f"lift of {bform} has discriminant {lifted.disc()}")
+    return lifted
+
+
+def ref_tg2_seed(p):
+    if p % 4 == 3:
+        return ref_lift_binary_to_ternary(BinaryClass(1, 1, (p + 1) // 4), p)
+    if p % 3 == 2:
+        big = (4 * p + 1) // 3
+        return TernaryForm(3, big, big, (2 - 4 * p) // 3, 2, 2)
+    if p % 8 == 5:
+        return TernaryForm(8, (p + 1) // 2, p + 2, 2, 8, 4)
+    return None
+
+
+def ref_vanishes_mod4(form, bound=200):
+    theta = theta_series_ternary(form, bound).array
+    return not (theta[1::4].any() or theta[2::4].any())
+
+
+def ref_tg2(p):
+    """The genus of the congruence seed, else the one genus of 16p^2 whose
+    members vanish on n = 1, 2 mod 4 and pull back onto tg1(p)."""
+    require_odd_prime(p)
+    seed = ref_tg2_seed(p)
+    if seed is not None:
+        genus = ref_genus_of(seed)
+        if genus.discriminant != 16 * p * p:
+            raise RuntimeError("seed produced the wrong discriminant")
+        return genus
+    matches = []
+    for genus in genus_partition(16 * p * p):
+        if all(ref_vanishes_mod4(m) for m in genus.members):
+            if find_h_between(genus, tg1(p), 500).status == "ok":
+                matches.append(genus)
+    if len(matches) != 1:
+        raise RuntimeError(f"{len(matches)} genera of discriminant 16*{p}^2 qualify")
+    return matches[0]
+
+
+ODD_PRIMES_TO_47 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
 def genus_equals(genus, printed):
     if len(genus.members) != len(printed):
         return False
@@ -38,7 +138,7 @@ def genus_equals(genus, printed):
 
 
 def test_single_genus_at_prime_squares():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in ODD_PRIMES_TO_47:
         assert len(genus_partition(p * p)) == 1
 
 
@@ -98,51 +198,139 @@ def test_genus_refines_equivalence():
 
 
 def test_binary_classes_of_disc_23():
-    assert [b.as_tuple() for b in binary_classes(23)] == [
+    assert [b.as_tuple() for b in ref_binary_classes(23)] == [
         (1, 1, 6),
         (2, 1, 3),
         (2, -1, 3),
     ]
-    for b in binary_classes(23):
+    for b in ref_binary_classes(23):
         assert b.disc() == -23
 
 
 def test_binary_lift_printed_examples():
-    assert lift_binary_to_ternary(BinaryClass(1, 1, 6), 23) == TernaryForm(
+    assert ref_lift_binary_to_ternary(BinaryClass(1, 1, 6), 23) == TernaryForm(
         4, 23, 24, 0, 4, 0
     )
-    assert lift_binary_to_ternary(BinaryClass(2, 1, 3), 23) == TernaryForm(
+    assert ref_lift_binary_to_ternary(BinaryClass(2, 1, 3), 23) == TernaryForm(
         8, 23, 12, 0, 4, 0
     )
     # The principal form lifts to 4x^2 + p y^2 + (p+1) z^2 + 4 zx.
     p = 11
     principal = BinaryClass(1, 1, (p + 1) // 4)
-    assert lift_binary_to_ternary(principal, p) == TernaryForm(
+    assert ref_lift_binary_to_ternary(principal, p) == TernaryForm(
         4, p, p + 1, 0, 4, 0
     )
 
 
 def test_binary_lift_validates_discriminant():
     with pytest.raises(ValueError):
-        lift_binary_to_ternary(BinaryClass(1, 1, 6), 11)
-    lifted = lift_binary_to_ternary(BinaryClass(1, 1, 3), 11)
+        ref_lift_binary_to_ternary(BinaryClass(1, 1, 6), 11)
+    lifted = ref_lift_binary_to_ternary(BinaryClass(1, 1, 3), 11)
     assert lifted.disc() == 16 * 121
 
 
 def test_lift_lands_in_one_genus_regardless_of_choice():
     for p in (3, 7, 11, 19, 23, 31, 43, 47):
         genera = set()
-        for b in binary_classes(p):
-            genus = genus_of(lift_binary_to_ternary(b, p))
+        for b in ref_binary_classes(p):
+            genus = ref_genus_of(ref_lift_binary_to_ternary(b, p))
             genera.add(tuple(m.as_tuple() for m in genus.members))
         assert len(genera) == 1
+        assert genera == {tuple(m.as_tuple() for m in tg2(p).members)}
 
 
 def test_tg2_seed_families_agree_where_they_overlap():
     # p = 5 sits in both the mod-3 and mod-8 families.
-    a = genus_of(TernaryForm(3, 7, 7, -6, 2, 2))
-    b = genus_of(TernaryForm(8, 3, 7, 2, 8, 4))
+    a = ref_genus_of(TernaryForm(3, 7, 7, -6, 2, 2))
+    b = ref_genus_of(TernaryForm(8, 3, 7, 2, 8, 4))
     assert a == b == tg2(5)
+
+
+def test_built_tg2_equals_the_reference_search():
+    for p in (*ODD_PRIMES_TO_47, 73):
+        assert tg2(p) == ref_tg2(p), p
+
+
+def test_every_seed_lands_in_the_built_tg2():
+    seedless = []
+    for p in range(3, 150, 2):
+        if genera.is_prime(p):
+            seed = ref_tg2_seed(p)
+            if seed is None:
+                seedless.append(p)
+            else:
+                assert reduce_form(seed) in tg2(p).members, p
+    assert seedless == [73, 97]
+
+
+def test_overlattice_takes_x_with_several_ones():
+    # x = (1, 1, 1) for the one class of discriminant 25 and x = (1, 0, 1)
+    # for a class of 289: the basis keeps x in one column and 2e_j in
+    # both others, so the index is 4 and the discriminant 16 p^2.
+    for form, p in (
+        (TernaryForm(2, 2, 2, -1, -1, -1), 5),
+        (TernaryForm(3, 5, 6, -1, -2, 3), 17),
+    ):
+        built = overlattice(form)
+        assert built.disc() == 16 * p * p
+        assert built in tg2(p).members
+
+
+def test_tg2_never_classifies_discriminant_16p2(monkeypatch):
+    calls = []
+    real = genera.genus_partition
+
+    def recording(disc):
+        calls.append(disc)
+        return real(disc)
+
+    monkeypatch.setattr(genera, "genus_partition", recording)
+    primes = (3, 5, 17, 23, 73, 97)
+    for p in primes:
+        tg2(p)
+    assert calls == [p * p for p in primes]
+
+
+def test_eichler_mass_of_both_genera():
+    # sum 1/|Aut| = (p - 1)/48; tg1 and tg2 check it themselves.
+    for p in range(3, 150, 2):
+        if genera.is_prime(p):
+            assert sum(tg1(p).weights48()) == sum(tg2(p).weights48()) == p - 1
+
+
+def test_a_dropped_class_breaks_the_eichler_mass(monkeypatch):
+    full = tg1(23)
+    short = Genus(529, full.members[1:], full.aut_counts[1:])
+    missing = 48 // full.aut_counts[0]
+    monkeypatch.setattr(genera, "genus_partition", lambda disc: (short,))
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^tg1\(23\) has Eichler mass {22 - missing}/48, "
+        rf"expected 22/48: {missing}/48 missing$",
+    ):
+        tg1(23)
+    monkeypatch.setattr(genera, "tg1", lambda p: short)
+    with pytest.raises(RuntimeError, match=rf"^tg2\(23\) .*: {missing}/48 missing$"):
+        tg2(23)
+
+
+def test_a_form_outside_tg1_is_refused(monkeypatch):
+    with pytest.raises(RuntimeError, match="has 7 nonzero vectors"):
+        overlattice(TernaryForm(1, 1, 1, 0, 0, 0))
+    with pytest.raises(RuntimeError, match=r"Q\(1, 1, 1\) = 6, not 3 mod 4"):
+        overlattice(TernaryForm(1, 1, 1, 1, 1, 1))
+    # tg2 refuses rather than return a genus built from foreign members.
+    real = tg1(23)
+    foreign = (
+        (real.members[:2] + (TernaryForm(1, 1, 1, 1, 1, 1),), "not 3 mod 4"),
+        (real.members[:2] + real.members[:1], "not distinct classes"),
+        (tg1(17).members + real.members[:1], "of discriminant 8464"),
+    )
+    for members, message in foreign:
+        genus = Genus(529, members, real.aut_counts)
+        monkeypatch.setattr(genera, "tg1", lambda p: genus)
+        with pytest.raises(RuntimeError, match=message):
+            tg2(23)
 
 
 def test_tg2_rejects_even_or_composite():
@@ -192,13 +380,15 @@ def test_genus_of_reduces_its_form_once(monkeypatch):
     form = TernaryForm(7, 11, 20, -8, 4, 6)
     assert len(genus_partition(form.disc())) == 12
     calls = []
+    real_reduce = reduce_form
 
     def counting_reduce(f):
         calls.append(f)
-        return reduce_form(f)
+        return real_reduce(f)
 
-    monkeypatch.setattr(genera, "reduce_form", counting_reduce)
-    assert genus_of(form) == tg2(17)
+    expected = tg2(17)
+    monkeypatch.setitem(globals(), "reduce_form", counting_reduce)
+    assert ref_genus_of(form) == expected
     assert calls == [form]
 
 

@@ -16,6 +16,7 @@ from threesquares.lattice import (
     Constraint,
     TernaryForm,
     identity_form,
+    point_array_bytes,
     rep_count_ternary,
     s_of_n,
     s_table,
@@ -23,6 +24,7 @@ from threesquares.lattice import (
     theta_series_ternary,
 )
 from threesquares.lattice import _ternary_rows, _x_range
+from threesquares.forms import enumerate_classes
 
 
 def brute_count(form, n, box):
@@ -404,3 +406,15 @@ def test_enumeration_bounds_survive_box_doubling():
         assert tuple(int(v) for v in hist) == theta.coeffs
         for n in range(201):
             assert rep_count_ternary(form, n) == theta[n]
+
+
+def test_point_array_bytes_bounds_every_class():
+    # Rows of value <= N, the origin's included, for every class of the
+    # small discriminants; the sum of three squares comes closest.
+    for disc in range(1, 80):
+        for form in enumerate_classes(disc):
+            for n in (0, 1, 2, 9, 50, 300):
+                rows = lattice.short_vectors(form, n)
+                assert rows.nbytes + 32 <= point_array_bytes(3, n)
+    assert point_array_bytes(3, 300) == 32 * (34 + 2) ** 3
+    assert point_array_bytes(2, -1) == 0

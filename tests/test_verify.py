@@ -115,14 +115,21 @@ def test_sifting_chain_routes_agree():
 
 
 def test_pullback_bijection_seedless_prime():
-    # The first prime outside the three seed congruence families is
-    # selected by the signature search and still pairs off uniquely.
+    # 73 is the first prime outside the three congruence families that
+    # once seeded tg2; the overlattices of tg1(73) still pair off uniquely.
     from threesquares.genera import find_h, tg1, tg2
 
     genus = tg2(73)
     assert genus.discriminant == 16 * 73 * 73
     assert len(genus.members) == len(tg1(73).members)
     assert find_h(73, 200).status == "ok"
+
+
+@pytest.mark.parametrize("p", [73, 97, 101])
+def test_prop54_past_the_catalog_primes(p):
+    report = verify_prop54(p, 200)
+    assert (report.status, report.first_fail) == ("pass", None)
+    assert len(report.tg1_terms) == len(report.tg2_terms)
 
 
 def test_run_catalog_filters_and_validates():
