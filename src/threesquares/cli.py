@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .catalog import catalog
 from .genera import find_h, genus_partition, require_odd_prime, tg1, tg2
@@ -33,6 +34,9 @@ COUNT_MAX_N = 10**6
 # No array may pass the largest s table the int32 certificate admits,
 # 16384^2 entries of 4 bytes.  Commands bound their arrays before any work.
 ARRAY_CAP = 1 << 30
+
+# Rows of `s --max` formatted per write: about 200 KB of text.
+S_ROWS = 1 << 13
 
 
 class UsageError(SystemExit):
@@ -157,11 +161,25 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_s(args) -> int:
+    """Write the rows of s(0..max) in chunks of S_ROWS, straight from the
+    table, in the bytes _emit would give the rows {"n": n, "s": s(n)}."""
     if args.max < 0:
         raise UsageError("--max must be non-negative")
     table = s_table(args.max)
-    rows = [{"n": n, "s": int(table[n])} for n in range(args.max + 1)]
-    _emit(rows, args.format, args.output, ["n", "s"])
+    if args.format == "json":
+        head, row = "", '{{"n": {}, "s": {}}}\n'
+    elif args.format == "csv":
+        head, row = "n,s\r\n", "{},{}\r\n"
+    else:
+        wn = max(len("n"), len(str(args.max)))
+        ws = max(len("s"), len(str(table.max())))
+        head = f"{'n':<{wn}}  {'s':<{ws}}\n"
+        row = f"{{:<{wn}}}  {{:<{ws}}}\n"
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+        fh.write(head)
+        for lo in range(0, args.max + 1, S_ROWS):
+            chunk = table[lo:lo + S_ROWS].tolist()
+            fh.write("".join(row.format(n, v) for n, v in enumerate(chunk, lo)))
     return 0
 
 

@@ -10,6 +10,10 @@ Points come from one row generator per arity (_ternary_rows; the n-loop
 of theta_series_binary) and one expansion of rows into int64 arrays,
 _spread.  short_vectors and theta_series_binary each prove their int64
 bound before expanding, or raise ValueError.
+
+s_table returns a read-only prefix view of the largest s table built so
+far.  That table is held for the whole process in the module dict
+_S_CACHE, and a larger request grows it.
 """
 
 from __future__ import annotations
@@ -308,22 +312,41 @@ _S_MAX = 16384 * 16384 - 1
 _S_BLOCK = 1 << 17
 
 
+# The largest s table built so far, under the one key "s".  Every table
+# is a prefix of every larger one; clear() gives the memory back.
+_S_CACHE: dict[str, np.ndarray] = {}
+
+
 def s_table(n_max: int) -> np.ndarray:
     """s(0..n_max) as an int32 array, from s(n) = r2(n) + 2*sum r2(n - z^2).
 
-    r2 comes from enumerating every (a, b) with a^2 + b^2 <= n_max.  The
-    z-sum is then taken one output block of _S_BLOCK entries at a time,
-    in place in that block's slice of the result, so the partial sums
-    stay in cache while each z adds its shifted slice of r2.  All counts
-    fit int32 because s(n) <= 2*(2*isqrt(n) + 1)^2 < 2^31 for
-    n_max <= _S_MAX; a larger n_max raises ValueError before anything
-    is allocated.
+    The result is a read-only prefix view of the largest table built so
+    far, held in _S_CACHE.  A request beyond it copies the cached
+    entries into a new array, drops the old one, and computes only the
+    new entries: r2 comes from enumerating every (a, b) with
+    a^2 + b^2 <= n_max, and the z-sum is taken one output block of
+    _S_BLOCK entries at a time, in place in that block's slice of the
+    result, so the partial sums stay in cache while each z adds its
+    shifted slice of r2.  All counts fit int32 because
+    s(n) <= 2*(2*isqrt(n) + 1)^2 < 2^31 for n_max <= _S_MAX; a larger
+    n_max raises ValueError before anything is allocated.
     """
     if n_max > _S_MAX:
         raise ValueError(
             f"s table up to {n_max} overflows int32 "
             f"(s(n) <= 2*(2*isqrt(n)+1)^2 < 2^31 needs n <= {_S_MAX})"
         )
+    if n_max < 0:
+        raise ValueError(f"s table size must be non-negative, got {n_max}")
+    old = _S_CACHE.get("s", np.zeros(0, dtype=np.int32))
+    done = len(old)
+    if n_max < done:
+        return old[: n_max + 1]
+    s = np.zeros(n_max + 1, dtype=np.int32)
+    s[:done] = old
+    # The old table goes before r2 comes, so the peak is one s and one r2.
+    _S_CACHE.clear()
+    del old
     r2 = np.zeros(n_max + 1, dtype=np.int32)
     top = isqrt(n_max)
     squares = np.arange(top + 1, dtype=np.int64) ** 2
@@ -336,8 +359,7 @@ def s_table(n_max: int) -> np.ndarray:
         if a > 0:
             w *= 2
         r2[idx] += w
-    s = np.zeros(n_max + 1, dtype=np.int32)
-    for lo in range(0, n_max + 1, _S_BLOCK):
+    for lo in range(done, n_max + 1, _S_BLOCK):
         hi = min(lo + _S_BLOCK, n_max + 1)
         block = s[lo:hi]
         for z in range(1, isqrt(hi - 1) + 1):
@@ -347,6 +369,8 @@ def s_table(n_max: int) -> np.ndarray:
             tail += r2[start - m:hi - m]
         block *= 2
         block += r2[lo:hi]
+    s.flags.writeable = False
+    _S_CACHE["s"] = s
     return s
 
 

@@ -1,10 +1,13 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from threesquares import cli
 from threesquares.cli import main
+from threesquares.lattice import s_of_n, s_table
 
 
 def run_cli(argv, capsys):
@@ -20,6 +23,48 @@ def test_s_table_output(capsys):
     code, out, _ = run_cli(["s", "--max", "3", "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines() == ["n,s", "0,1", "1,6", "2,12", "3,8"]
+
+
+def emit_s_rows(n_max, fmt, output):
+    """`s --max` as it was written before: one dict per row, then _emit."""
+    table = s_table(n_max)
+    rows = [{"n": n, "s": int(table[n])} for n in range(n_max + 1)]
+    cli._emit(rows, fmt, output, ["n", "s"])
+
+
+@pytest.mark.parametrize("chunk", [7, cli.S_ROWS])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("n_max", [0, 1, 2000])
+def test_s_writes_the_bytes_of_the_row_path(
+    n_max, fmt, chunk, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "S_ROWS", chunk)
+    emit_s_rows(n_max, fmt, None)
+    expected = capsys.readouterr().out
+    code, out, _ = run_cli(["s", "--max", str(n_max), "--format", fmt], capsys)
+    assert code == 0
+    # Bytes, so a failure reports the first difference, not a long diff.
+    assert out.encode() == expected.encode()
+    emit_s_rows(n_max, fmt, tmp_path / "rows")
+    argv = ["s", "--max", str(n_max), "--format", fmt, "--output"]
+    assert main(argv + [str(tmp_path / "chunks")]) == 0
+    assert (tmp_path / "chunks").read_bytes() == (tmp_path / "rows").read_bytes()
+
+
+def test_s_output_memory_does_not_grow_with_the_rows(capfd):
+    # One dict per row and the whole text at once peaked near 70 MB;
+    # the chunks keep the table, its r2 and one chunk of text.
+    tracemalloc.start()
+    try:
+        code = main(["s", "--max", "200000", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20, peak
+    out = capfd.readouterr().out
+    assert out.count("\n") == 200001
+    assert out.endswith(f'{{"n": 200000, "s": {s_of_n(200000)}}}\n')
 
 
 def test_count_output(capsys):

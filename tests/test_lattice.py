@@ -262,6 +262,16 @@ def test_blocked_s_table_matches_the_z_loop_at_every_block_edge(monkeypatch, blo
         assert_same_table(n_max)
 
 
+@pytest.mark.parametrize("block", [7, 64])
+def test_cold_s_table_matches_the_z_loop_at_every_block_edge(monkeypatch, block):
+    # The test above grows one table an entry at a time; here every size
+    # is built from nothing, so whole runs of blocks are summed.
+    monkeypatch.setattr(lattice, "_S_BLOCK", block)
+    for n_max in range(301):
+        lattice._S_CACHE.clear()
+        assert_same_table(n_max)
+
+
 @pytest.mark.parametrize(
     "n_max", [2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5]
 )
@@ -282,6 +292,75 @@ def test_s_table_int32_certificate():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 600), min_size=1, max_size=6))
+def test_growing_s_table_matches_the_z_loop(block, sizes):
+    # Rising, falling and repeated requests against one cache.
+    sizes = sizes + sizes[::-1] + sizes
+    reference = reference_s_table(max(sizes))
+    lattice._S_CACHE.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_S_BLOCK", block)
+        for n_max in sizes:
+            table = s_table(n_max)
+            assert table.dtype == np.int32
+            assert np.array_equal(table, reference[: n_max + 1]), (sizes, n_max)
+
+
+def test_growing_s_table_across_the_real_block_edge():
+    assert lattice._S_BLOCK == 2**17
+    s_table(2**17 - 3)
+    # The new entries start 3 below the edge and run past two blocks.
+    assert_same_table(2**18 + 5)
+    assert len(lattice._S_CACHE["s"]) == 2**18 + 6
+
+
+def test_s_table_is_read_only():
+    grown = s_table(100)
+    view = s_table(50)
+    for table in (grown, view):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    assert s_table(100)[1] == 6
+
+
+def test_s_table_refuses_past_the_certificate_with_a_table_cached():
+    cached = s_table(10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int32"):
+            s_table(lattice._S_MAX + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lattice._S_CACHE["s"] is cached
+
+
+def test_growing_s_table_peaks_no_higher_than_a_cold_build():
+    # Growing drops the old table before r2 exists, so the peak is one
+    # new table and one r2, as in a cold build; keeping the old table to
+    # the end would add its 2 MiB.
+    n_max = 1 << 20
+    tracemalloc.start()
+    try:
+        lattice._S_CACHE.clear()
+        tracemalloc.reset_peak()
+        s_table(n_max)
+        _, cold = tracemalloc.get_traced_memory()
+        lattice._S_CACHE.clear()
+        s_table(n_max // 2)
+        tracemalloc.reset_peak()
+        s_table(n_max)
+        _, grown = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The slack covers interpreter bookkeeping, not an array.
+    assert grown <= cold + (1 << 12), (grown, cold)
 
 
 @settings(max_examples=10, deadline=None)
