@@ -3,9 +3,9 @@
 Subcommands: verify (identity catalog), count (single representation
 count), s (sums of three squares), genus (genus reports), prop54 (the
 weighted two-genus identity).  Exit codes: 0 all checks passed, 1 a
-verification failed, 2 usage error or out of memory.  Output is
-deterministic: JSON lines are sorted-key and timing is confined to the
-human-readable table.
+verification failed or a construction could not be completed, 2 usage
+error or out of memory.  Output is deterministic: JSON lines are
+sorted-key and timing is confined to the human-readable table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 
 from .catalog import catalog
-from .genera import find_h, genus_partition, require_odd_prime, tg1, tg2
+from .genera import find_h_between, genus_partition, require_odd_prime, tg1, tg2
 from .lattice import TernaryForm, point_array_bytes, rep_count_ternary, s_table
 from .verify import array_bytes, run_catalog, verify_prop54
 
@@ -30,6 +30,11 @@ USAGE_ERROR = 2
 # count walks every (y, z) row of the ellipsoid, about pi*n rows for
 # x^2 + y^2 + z^2: 10^6 takes about 1.4 s on a 2-vCPU Xeon, 10^7 about 14 s.
 COUNT_MAX_N = 10**6
+
+# tg1(p) classifies every form of discriminant p^2, in time growing about
+# as p^3: p = 409 takes about 0.9 s on a 2-vCPU Xeon, p = 547 about 2.7 s.
+# genus --p and prop54 --p refuse a larger p^2 before the primality test.
+CLASS_SCAN_MAX_DISC = 3 * 10**5
 
 # No array may pass the largest s table the int32 certificate admits,
 # 16384^2 entries of 4 bytes.  Commands bound their arrays before any work.
@@ -51,6 +56,17 @@ def _require_cap(name: str, value: int, need: int) -> None:
             f"{name} {value} needs a {need}-byte array, "
             f"over the {ARRAY_CAP}-byte cap of an int32 s table"
         )
+
+
+def _odd_prime(p: int) -> int:
+    """p, once p^2 is within the class-scan ceiling and p is an odd prime."""
+    if p * p > CLASS_SCAN_MAX_DISC:
+        raise UsageError(
+            f"--p {p} needs a class scan of discriminant {p * p}, "
+            f"over the ceiling of {CLASS_SCAN_MAX_DISC}"
+        )
+    require_odd_prime(p)
+    return p
 
 
 def _order(args) -> tuple[str, int]:
@@ -200,13 +216,14 @@ def _genus_rows(genus, label):
 
 
 def _cmd_genus(args) -> int:
-    if args.p is None and args.disc is None:
-        raise UsageError("genus needs --p or --disc")
+    if (args.p is None) == (args.disc is None):
+        raise UsageError("genus takes exactly one of --p and --disc")
     if args.p is not None:
-        # find_h pulls tg2's theta series back from 4 * max_n.
+        _odd_prime(args.p)
+        # The pairing pulls tg2's theta series back from 4 * max_n.
         _require_cap("--max-n", args.max_n, point_array_bytes(3, 4 * args.max_n))
         genus1, genus2 = tg1(args.p), tg2(args.p)
-        pairing = find_h(args.p, args.max_n)
+        pairing = find_h_between(genus2, genus1, args.max_n)
         if args.format == "json":
             doc = {
                 "p": args.p,
@@ -252,8 +269,7 @@ def _cmd_prop54(args) -> int:
             p = int(part)
         except ValueError:
             raise UsageError(f"malformed prime {part!r}")
-        require_odd_prime(p)
-        primes.append(p)
+        primes.append(_odd_prime(p))
     s_bytes = 4 * (max(primes) ** 2 * args.max_n + 1)
     _require_cap("--max-n", args.max_n, max(s_bytes, point_array_bytes(3, args.max_n)))
     rows = []

@@ -136,74 +136,33 @@ def run_catalog(order: int, ids=None) -> list[VerificationReport]:
 
 # -- the prime-square recursion for sums of three squares -------------------
 
-# End results of the degree-5 sifting chain, one per residue branch,
-# plus their degree-3 analogues assembled from the cubic dissections.
-_CHAIN_IDS_P5 = [
-    "E2.3", "E2.4", "E2.5", "E2.6", "E2.7", "E2.8",
-    "E2.9r1", "E2.9r4", "E2.10", "E2.11", "E2.12r1", "E2.12r4",
-    "E2.15", "E2.16r2", "E2.16r3", "E2.18", "E2.19",
-]
-_CHAIN_IDS_P3 = ["E1.15", "E4.13", "E4.14", "E4.15", "E4.20", "E4.21"]
+# Catalog entries the sifting chains run beside the residue branches:
+# the degree-5 chain's steps, and the degree-3 analogues assembled from
+# the cubic dissections.
+_CHAIN_IDS = {
+    3: ["E1.15", "E4.13", "E4.14", "E4.15", "E4.20", "E4.21"],
+    5: [
+        "E2.3", "E2.4", "E2.5", "E2.6", "E2.7", "E2.8",
+        "E2.9r1", "E2.9r4", "E2.10", "E2.11", "E2.15", "E2.18",
+    ],
+}
 
-_HS3_SPECS = [
-    IdentitySpec(
-        "HS3.n1",
-        sift(27, 9, PHI3),
-        scale(5, sift(3, 1, PHI3)),
-        "S(27,9) phi^3 = 5 S(3,1) phi^3  (arguments = 1 mod 3)",
-    ),
-    IdentitySpec(
-        "HS3.n2",
-        sift(27, 18, PHI3),
-        scale(3, sift(3, 2, PHI3)),
-        "S(27,18) phi^3 = 3 S(3,2) phi^3  (arguments = 2 mod 3)",
-    ),
-    IdentitySpec(
-        "HS3.n0",
-        sift(27, 0, PHI3),
-        sub(
-            scale(4, sift(3, 0, PHI3)),
-            scale(3, dilate(3, PHI3)),
-        ),
-        "S(27,0) phi^3 = 4 S(3,0) phi^3 - 3 phi^3(q^3)  (3 | argument)",
-    ),
-]
 
-_HS5_SPECS = [
-    IdentitySpec(
-        "HS5.n1",
-        sift(125, 25, PHI3),
-        scale(5, sift(5, 1, PHI3)),
-        "S(125,25) phi^3 = 5 S(5,1) phi^3",
-    ),
-    IdentitySpec(
-        "HS5.n4",
-        sift(125, 100, PHI3),
-        scale(5, sift(5, 4, PHI3)),
-        "S(125,100) phi^3 = 5 S(5,4) phi^3",
-    ),
-    IdentitySpec(
-        "HS5.n2",
-        sift(125, 50, PHI3),
-        scale(7, sift(5, 2, PHI3)),
-        "S(125,50) phi^3 = 7 S(5,2) phi^3",
-    ),
-    IdentitySpec(
-        "HS5.n3",
-        sift(125, 75, PHI3),
-        scale(7, sift(5, 3, PHI3)),
-        "S(125,75) phi^3 = 7 S(5,3) phi^3",
-    ),
-    IdentitySpec(
-        "HS5.n0",
-        sift(125, 0, PHI3),
-        sub(
-            scale(6, sift(5, 0, PHI3)),
-            scale(5, dilate(5, PHI3)),
-        ),
-        "S(125,0) phi^3 = 6 S(5,0) phi^3 - 5 phi^3(q^5)",
-    ),
-]
+def _branch_specs(p: int) -> list[IdentitySpec]:
+    """The recursion as sifted series, one spec per residue r of n mod p:
+    S(p^3, p^2 r) phi^3 = c_r S(p, r) phi^3 - [r = 0] p phi^3(q^p),
+    with c_r = p + 1 - (-r|p), the coefficient the lattice route uses."""
+    coefficients = p + 1 - _minus_chi(p, p - 1)
+    specs = []
+    for r in (*range(1, p), 0):
+        c = int(coefficients[r])
+        lhs, rhs = sift(p**3, p * p * r, PHI3), scale(c, sift(p, r, PHI3))
+        text = f"S({p**3},{p * p * r}) phi^3 = {c} S({p},{r}) phi^3"
+        if r == 0:
+            rhs = sub(rhs, scale(p, dilate(p, PHI3)))
+            text += f" - {p} phi^3(q^{p})"
+        specs.append(IdentitySpec(f"HS{p}.n{r}", lhs, rhs, text))
+    return specs
 
 
 @dataclass(frozen=True)
@@ -230,8 +189,9 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
     """Check s(p^2 n) = (p + 1 - (-n|p)) s(n) - p s(n/p^2) for n <= max_n.
 
     The counts come from lattice enumeration.  For p = 3 and p = 5 the
-    same statement is re-derived as sifted series identities (the
-    residue-branch endpoints of the dissection chains) at chain_order.
+    same statement is re-derived at chain_order as sifted series: one
+    branch per residue of n mod p, generated from the same coefficient,
+    beside the catalog steps of that prime's dissection chain.
     """
     require_odd_prime(p)
     q = p * p
@@ -242,12 +202,9 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
     first_fail = _first_mismatch(s[::q], rhs, _from_one(max_n))
     chain_reports: tuple[VerificationReport, ...] = ()
     chain_used = None
-    if p in (3, 5) and first_fail is None:
+    if p in _CHAIN_IDS and first_fail is None:
         chain_used = chain_order
-        if p == 5:
-            specs = [lookup(i) for i in _CHAIN_IDS_P5] + _HS5_SPECS
-        else:
-            specs = [lookup(i) for i in _CHAIN_IDS_P3] + _HS3_SPECS
+        specs = [lookup(i) for i in _CHAIN_IDS[p]] + _branch_specs(p)
         chain_reports = tuple(
             verify_identity(spec, chain_order) for spec in specs
         )

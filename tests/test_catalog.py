@@ -107,7 +107,7 @@ def node_kinds(expr, found):
 
 
 def test_catalog_trees_use_exactly_the_evaluator_node_kinds():
-    specs = catalog() + verify._HS3_SPECS + verify._HS5_SPECS
+    specs = catalog() + verify._branch_specs(3) + verify._branch_specs(5)
     found = set()
     for spec in specs:
         node_kinds(spec.lhs, found)
@@ -129,7 +129,7 @@ def lattice_leaves(expr, found):
 
 def test_array_bytes_bounds_every_lattice_leaf():
     leaves = set()
-    for spec in catalog() + verify._HS3_SPECS + verify._HS5_SPECS:
+    for spec in catalog() + verify._branch_specs(3) + verify._branch_specs(5):
         lattice_leaves(spec.lhs, leaves)
         lattice_leaves(spec.rhs, leaves)
     assert {leaf[0] for leaf in leaves} == {"theta3", "theta2"}

@@ -195,7 +195,7 @@ def test_genus_exit_code_follows_pairing_status(monkeypatch, capsys):
     from threesquares.genera import HResult
 
     failed = HResult("none", (), "x")
-    monkeypatch.setattr(cli, "find_h", lambda p, max_n: failed)
+    monkeypatch.setattr(cli, "find_h_between", lambda src, dst, max_n: failed)
     code, out, _ = run_cli(
         ["genus", "--p", "23", "--max-n", "60", "--format", "json"], capsys
     )
@@ -414,9 +414,9 @@ def test_verify_order_above_the_array_cap(monkeypatch, capsys, via_env):
 
 
 def test_genus_max_n_above_the_array_cap(monkeypatch, capsys):
-    # find_h takes tg2's theta series to 4 * max_n.
+    # The pairing takes tg2's theta series to 4 * max_n.
     err = _refuses_before_work(
-        monkeypatch, capsys, ["tg1", "tg2", "find_h"],
+        monkeypatch, capsys, ["tg1", "tg2", "find_h_between"],
         ["genus", "--p", "73", "--max-n", "6441"],
     )
     assert err.startswith("error: --max-n 6441 needs a ") and "-byte cap" in err
@@ -454,3 +454,51 @@ def test_benchmark_sizes_stay_far_below_every_cap():
     genus = point_array_bytes(3, 4 * 500)
     prop54 = max(4 * (23**2 * 1000 + 1), point_array_bytes(3, 1000))
     assert max(verify_all, genus, prop54) * 16 <= cli.ARRAY_CAP
+    # genus --p 73, prop54 up to 23 and the tests' tg1(101).
+    assert max(73, 23, 101) ** 2 * 16 <= cli.CLASS_SCAN_MAX_DISC
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genus", "--p", str(2**61 - 1)], ["prop54", "--p", "1000003", "--max-n", "0"]],
+    ids=["genus", "prop54"],
+)
+def test_prime_past_the_class_scan_ceiling_is_refused_before_any_check(
+    monkeypatch, capsys, argv
+):
+    p = int(argv[2])
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["require_odd_prime", "tg1", "tg2", "verify_prop54"],
+        argv,
+    )
+    assert err == (
+        f"error: --p {p} needs a class scan of discriminant {p * p}, "
+        f"over the ceiling of {cli.CLASS_SCAN_MAX_DISC}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, attr",
+    [(["genus", "--p", "23"], "tg1"), (["prop54", "--p", "23"], "verify_prop54")],
+    ids=["genus", "prop54"],
+)
+def test_prime_at_the_class_scan_ceiling_is_let_through(
+    monkeypatch, capsys, argv, attr
+):
+    monkeypatch.setattr(cli, "CLASS_SCAN_MAX_DISC", 23**2)
+    _passes_the_cap(monkeypatch, capsys, attr, argv)
+    argv[2] = "29"
+    err = _refuses_before_work(monkeypatch, capsys, [attr], argv)
+    assert err.startswith("error: --p 29 needs a class scan of discriminant 841")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["genus", "--p", "73", "--disc", "5"], ["genus"]],
+    ids=["both", "neither"],
+)
+def test_genus_takes_exactly_one_of_p_and_disc(monkeypatch, capsys, argv):
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["tg1", "tg2", "genus_partition"], argv
+    )
+    assert err == "error: genus takes exactly one of --p and --disc\n"

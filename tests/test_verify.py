@@ -4,7 +4,7 @@ import pytest
 
 from threesquares import verify
 from threesquares.forms import reduce_form
-from threesquares.lattice import TernaryForm
+from threesquares.lattice import TernaryForm, s_table
 from threesquares.qseries import QSeries
 from threesquares.verify import (
     run_catalog,
@@ -21,6 +21,7 @@ def canon(t):
 
 
 def test_hs_small_all_routes():
+    ids = {}
     for p in (3, 5):
         report = verify_hs(p, 300, chain_order=300)
         assert report.status == "pass"
@@ -28,6 +29,16 @@ def test_hs_small_all_routes():
         assert report.chain_order == 300
         assert report.chain_reports
         assert all(r.status == "pass" for r in report.chain_reports)
+        ids[p] = [r.id for r in report.chain_reports]
+    assert set(ids[3]) == {
+        "E1.15", "E4.13", "E4.14", "E4.15", "E4.20", "E4.21",
+        "HS3.n0", "HS3.n1", "HS3.n2",
+    }
+    # Each residue branch is checked once: these catalog entries state
+    # the generated HS5 branches themselves, so the chain leaves them out.
+    assert len(ids[5]) == len(set(ids[5])) == 12 + 5
+    assert {f"HS5.n{r}" for r in range(5)} <= set(ids[5])
+    assert not {"E2.12r1", "E2.12r4", "E2.16r2", "E2.16r3", "E2.19"} & set(ids[5])
 
 
 def test_hs_brute_only_for_larger_primes():
@@ -206,6 +217,34 @@ def test_hs_reports_the_first_perturbed_n(monkeypatch, p, bumps, first_fail):
     assert report.status == ("pass" if first_fail is None else "fail")
     if first_fail is not None:
         assert report.chain_reports == () and report.chain_order is None
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("p, r", [(p, r) for p in (3, 5) for r in range(p)])
+def test_moving_one_branch_coefficient_fails_that_branch_alone(
+    monkeypatch, p, r, delta
+):
+    # c_r = p + 1 - (-r|p): lowering the character by delta raises c_r by delta.
+    real = verify._minus_chi
+
+    def moved(p, max_n):
+        chi = real(p, max_n).copy()
+        chi[r::p] -= delta
+        return chi
+
+    monkeypatch.setattr(verify, "_minus_chi", moved)
+    order = 40
+    s = s_table(p**3 * order)
+    for spec in verify._branch_specs(p):
+        report = verify.verify_identity(spec, order)
+        if spec.id != f"HS{p}.n{r}":
+            assert report.status == "pass", spec.id
+            continue
+        # Coefficient n of branch r counts the argument m = p n + r.
+        n, lhs, rhs = report.first_mismatch
+        m = p * n + r
+        assert m == min(k for k in range(r, p * order + 1, p) if s[k])
+        assert (lhs, rhs - lhs) == (s[p * p * m], delta * s[m])
 
 
 @pytest.mark.parametrize(
