@@ -339,14 +339,35 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+# Miller-Rabin with the first 13 prime bases is a proof of primality
+# below _PRIME_PROVEN: the least composite passing all of them is
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_PROVEN = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above _PRIME_PROVEN."""
+    if n >= _PRIME_PROVEN:
+        raise ValueError(f"primality of {n} is not proven above {_PRIME_PROVEN - 1}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True

@@ -305,7 +305,8 @@ def genus_partition(disc: int) -> tuple[Genus, ...]:
 
 
 def require_odd_prime(p: int) -> None:
-    """The one guard on a prime argument: ValueError unless p is an odd prime."""
+    """The one guard on a prime argument: ValueError unless p is an odd
+    prime that is_prime can prove."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from threesquares import cli
+from threesquares import cli, forms
 from threesquares.cli import main
 from threesquares.lattice import s_of_n, s_table
 
@@ -280,13 +280,22 @@ def test_out_of_memory_is_a_one_line_usage_error(monkeypatch, capsys):
     assert err == "error: out of memory\n"
 
 
-def test_int64_bound_is_a_usage_error(capsys):
-    code, out, err = run_cli(
-        ["genus", "--disc", "4611686018427387904"], capsys
+def _disc_over_the_ceiling(monkeypatch, capsys, disc):
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["genus_partition"], ["genus", "--disc", str(disc)]
     )
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "int64" in err
+    assert err == (
+        f"error: --disc {disc} needs a class scan of discriminant {disc}, "
+        f"over the ceiling of {cli.CLASS_SCAN_MAX_DISC}\n"
+    )
+
+
+def test_int64_bound_is_a_usage_error(monkeypatch, capsys):
+    # The CLI refuses 2^62 at the class-scan ceiling; the library's scan
+    # still refuses it by its int64 certificate.
+    _disc_over_the_ceiling(monkeypatch, capsys, 4611686018427387904)
+    with pytest.raises(ValueError, match="int64"):
+        forms.enumerate_classes(4611686018427387904)
 
 
 def test_s_max_beyond_the_int32_certificate_is_a_usage_error(capsys):
@@ -352,13 +361,20 @@ def test_count_accepts_n_at_its_cap(monkeypatch, capsys):
     assert (code, out) == (0, "84\n")
 
 
-def test_huge_discriminant_is_refused_by_the_scan_certificate(capsys):
-    # The cube root of 10^400 is exact integer work; the scan's int64
+def test_huge_discriminant_is_refused_by_the_scan_certificate(monkeypatch, capsys):
+    # The CLI refuses 10^400 at the class-scan ceiling.  In the library
+    # the cube root of 10^400 is exact integer work, and the scan's int64
     # certificate then refuses the discriminant.
-    code, out, err = run_cli(["genus", "--disc", str(10**400)], capsys)
-    assert (code, out) == (2, "")
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: class scan of discriminant") and "int64" in err
+    _disc_over_the_ceiling(monkeypatch, capsys, 10**400)
+    with pytest.raises(ValueError, match="^class scan of discriminant .*int64"):
+        forms.enumerate_classes(10**400)
+
+
+def test_disc_at_the_class_scan_ceiling_is_let_through(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "CLASS_SCAN_MAX_DISC", 4624)
+    code, out, _ = run_cli(["genus", "--disc", "4624"], capsys)
+    assert code == 0 and out.endswith("12 genera of discriminant 4624\n")
+    _disc_over_the_ceiling(monkeypatch, capsys, 4625)
 
 
 def _refuses_before_work(monkeypatch, capsys, module_attrs, argv):
@@ -456,6 +472,9 @@ def test_benchmark_sizes_stay_far_below_every_cap():
     assert max(verify_all, genus, prop54) * 16 <= cli.ARRAY_CAP
     # genus --p 73, prop54 up to 23 and the tests' tg1(101).
     assert max(73, 23, 101) ** 2 * 16 <= cli.CLASS_SCAN_MAX_DISC
+    # genus --disc 4624 and 16 * 73^2.  Scan time grows about as D^1.5,
+    # so a third of the ceiling is about a fifth of its time.
+    assert max(4624, 85264) * 3 <= cli.CLASS_SCAN_MAX_DISC
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,42 @@ def test_is_prime():
     ]
 
 
+def ref_is_prime(n):
+    """Trial division, the primality test Miller-Rabin replaced."""
+    if n < 2:
+        return False
+    return all(n % i for i in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if ref_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, factor",
+    [
+        (3215031751, 151),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, 149491),  # ... to the first 11 prime bases
+        (318665857834031151167461, 399165290221),  # ... to the first 12
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n, factor):
+    assert n % factor == 0 and not is_prime(n)
+
+
+def test_is_prime_is_fast_and_refuses_past_its_proof():
+    # Trial division would run for hours on a 61-bit prime.
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # psi_13 itself passes all 13 bases, so the proof stops short of it.
+    psi13 = forms._PRIME_PROVEN
+    assert psi13 % 1287836182261 == 0
+    assert not is_prime(psi13 - 1)
+    with pytest.raises(ValueError, match="not proven"):
+        is_prime(psi13)
+
+
 # -- scalar reference: the loop code the numpy scan and search replaced ------
 
 

@@ -361,6 +361,45 @@ def ref_prod_ap(factors, trunc):
     return tuple(co)
 
 
+def ref_expand_ap(factors, trunc):
+    """The array prod_ap expanded before limbs: int64 while a running
+    bound certifies it, then Python ints to the end."""
+    co = np.zeros(trunc + 1, dtype=np.int64)
+    co[0] = 1
+    bound = 1
+    for a, b, sign, e in factors:
+        for m in range(b, trunc + 1, a):
+            grow = 2 if e > 0 else -(-(trunc + 1) // m)
+            for _ in range(abs(e)):
+                if co.dtype != object:
+                    if bound * grow >= 1 << 62:
+                        bound = qs._max_abs(co)
+                    if bound * grow >= 1 << 62:
+                        co = co.astype(object)
+                    bound *= grow
+                if e < 0:
+                    ref_divide_binomial(co, m, sign)
+                elif sign == 1:
+                    co[m:] += co[:-m]
+                else:
+                    co[m:] -= co[:-m]
+    return co
+
+
+def ref_divide_binomial(co, m, sign):
+    n1 = len(co)
+    rows = -(-n1 // m)
+    grid = np.zeros(rows * m, dtype=co.dtype)
+    grid[:n1] = co
+    grid = grid.reshape(rows, m)
+    if sign == 1:
+        grid[1::2] *= -1
+    np.cumsum(grid, axis=0, out=grid)
+    if sign == 1:
+        grid[1::2] *= -1
+    co[:] = grid.reshape(-1)[:n1]
+
+
 def sparse_series(trunc, entries):
     out = [0] * (trunc + 1)
     for j, c in entries:
@@ -425,15 +464,61 @@ def test_prod_ap_matches_the_tuple_code(factors, trunc):
     assert qs.prod_ap(factors, trunc).coeffs == ref_prod_ap(factors, trunc)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st_factor, min_size=1, max_size=4), st.integers(2, 64))
-def test_prod_ap_exact_whatever_the_limit(factors, limit):
-    # A tiny int64 window makes the certificate give up at every step
-    # position in turn; the switch to Python ints must not change a value.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st_factor, min_size=1, max_size=4),
+    st.integers(2, 8),
+    st.integers(0, 1 << 14),
+    st.integers(1, 60),
+)
+def test_prod_ap_exact_whatever_the_limit(factors, bits, spare, block):
+    # Limbs of 2 to 8 bits in a window barely wide enough to certify an
+    # order-40 step after a carry: carries, added limbs and negative top
+    # limbs come at every step position in turn, and none may change a
+    # value.  Divisions take the block steps or the cumsum by turns.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qs, "_INT64_SAFE", limit)
+        mp.setattr(qs, "_LIMB_BITS", bits)
+        mp.setattr(qs, "_INT64_SAFE", (41 << bits) + spare)
+        mp.setattr(qs, "_BLOCK_LIMBS", block)
         got = qs._expand_ap(factors, 40).tolist()
     assert tuple(got) == ref_prod_ap(factors, 40)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st_factor, min_size=1, max_size=3), st.integers(100, 600))
+def test_prod_ap_limbs_match_the_object_path(factors, trunc):
+    # At full width the deep products pass 2^62, so the reference's
+    # Python ints and the limbs both run.
+    got = qs.prod_ap(factors, trunc)
+    want = ref_expand_ap(factors, trunc)
+    assert got.coeffs == tuple(want.tolist())
+
+
+def test_prod_ap_is_the_partition_function_to_order_1000():
+    # Euler's pentagonal recurrence on Python ints; p(1000) has 105 bits,
+    # so the division by 1 - q^m runs on limbs.
+    part = [1]
+    for n in range(1, 1001):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * part[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * part[n - k * (3 * k + 1) // 2]
+            k += 1
+        part.append(total)
+    ser = qs.prod_ap([(1, 1, -1, -1)], 1000)
+    assert part[1000].bit_length() == 105
+    assert ser.coeffs == tuple(part)
+
+
+def test_prod_ap_refuses_an_order_no_carry_can_certify(monkeypatch):
+    with pytest.raises(ValueError, match="no carry can certify"):
+        qs.prod_ap([], 1 << 30)
+    monkeypatch.setattr(qs, "_INT64_SAFE", 1 << 40)
+    qs.prod_ap([(1, 1, -1, -1)], (1 << 8) - 1)
+    with pytest.raises(ValueError, match="no carry can certify"):
+        qs.prod_ap([(1, 1, -1, -1)], 1 << 8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -509,26 +594,40 @@ def test_conv_certificate_counts_every_term(t, s, n):
 
 @pytest.mark.parametrize("k", [2, 5, 9])
 def test_prod_ap_certificate_edge(monkeypatch, k):
-    # (1 + q)^e to order 1 is [1, e]; the step from e = k to k + 1 is
-    # certified by 2*k, so a window of 2*k gives up exactly there.
-    monkeypatch.setattr(qs, "_INT64_SAFE", 2 * k)
-    at_limit = qs._expand_ap([(1, 1, 1, k + 1)], 1)
-    below = qs._expand_ap([(1, 1, 1, k)], 1)
-    assert at_limit.dtype == object and below.dtype == np.int64
-    assert at_limit.tolist() == [1, k + 1] and below.tolist() == [1, k]
-    # Dividing by 1 - q (the only factor below order k) sums k + 1 terms.
-    factors = [(k + 1, 1, -1, -1)]
-    monkeypatch.setattr(qs, "_INT64_SAFE", k + 1)
-    assert qs._expand_ap(factors, k).dtype == object
-    monkeypatch.setattr(qs, "_INT64_SAFE", k + 2)
-    assert qs._expand_ap(factors, k).dtype == np.int64
-    assert qs._expand_ap(factors, k).tolist() == [1] * (k + 1)
+    # (1 + sign*q)^e to order 1 is [1, sign*e]; the step from e = big to
+    # big + 1 is certified by 2*big, so a window of 2*big carries exactly
+    # there.  big = k * 2^bits has no low bits, so the carry adds a limb
+    # (two for k = 2), negative for sign = -1.
+    bits = min(k, 8)
+    big = k << bits
+    carries = []
+    carry = qs._carry
+    monkeypatch.setattr(qs, "_carry", lambda co: carries.append(1) or carry(co))
+    monkeypatch.setattr(qs, "_LIMB_BITS", bits)
+    monkeypatch.setattr(qs, "_INT64_SAFE", 2 * big)
+    for sign in (1, -1):
+        below = qs._expand_ap([(1, 1, sign, big)], 1)
+        assert not carries and below.dtype == np.int64
+        assert below.tolist() == [1, sign * big]
+        at_limit = qs._expand_ap([(1, 1, sign, big + 1)], 1)
+        assert carries == [1] and at_limit.dtype == object
+        assert at_limit.tolist() == [1, sign * (big + 1)]
+        carries.clear()
+    # Dividing by 1 - q sums k + 1 terms: after (1 + q^k)^big, whose
+    # max-abs is big, a window of big * (k + 1) carries exactly there.
+    factors = [(k + 1, k, 1, big), (k + 1, 1, -1, -1)]
+    for window, count in ((big * (k + 1) + 1, 0), (big * (k + 1), 1)):
+        monkeypatch.setattr(qs, "_INT64_SAFE", window)
+        assert qs._expand_ap(factors, k).tolist() == [1] * k + [big + 1]
+        assert len(carries) == count
+        carries.clear()
 
 
 def test_distinct_odd_parts_at_order_7005_stays_exact():
     factors = [(2, 1, 1, 1)]
     ser = qs.prod_ap(factors, 7005)
     assert ser.coeffs == ref_prod_ap(factors, 7005)
+    assert ser.coeffs == tuple(ref_expand_ap(factors, 7005).tolist())
     assert ser.bound >= LIMIT
     assert ser.array.dtype == object
     assert ser.sift(7, 5).coeffs == ref_sift(ser.coeffs, 7, 5)

@@ -54,6 +54,16 @@ def test_hs_rejects_bad_p():
         verify_hs(15, 10)
 
 
+def test_hs_guards_a_61_bit_prime_at_once():
+    # Miller-Rabin proves 2^61 - 1 prime at once; trial division ran past
+    # 20 s.  At the end of its proof the guard refuses instead.
+    from threesquares.forms import _PRIME_PROVEN
+
+    assert verify_hs(2**61 - 1, 0).status == "pass"
+    with pytest.raises(ValueError, match="not proven"):
+        verify_hs(_PRIME_PROVEN, 0)
+
+
 def test_theorems_small():
     reports = verify_theorems(400)
     assert [r.status for r in reports] == ["pass"] * 4
