@@ -20,7 +20,9 @@ A failed certificate never raises: the operation runs on the object
 dtype, and the result is stored as int64 again if its values fit.
 prod_ap alone never runs on Python ints: when its bound fails it does
 one exact carry pass across its int64 limbs, and only a final result
-of more than one limb is rebuilt as Python ints.
+of more than one limb is rebuilt as Python ints.  A carry certifies
+only steps of an order below 2^30, so prod_ap raises ValueError for
+orders at or above 2^30.
 Truncation and sifting are array views; read-only arrays let the
 catalog memo and those views share memory safely.
 
@@ -41,12 +43,6 @@ _INT64_SAFE = 1 << 62
 
 # prod_ap's limbs: a coefficient is the sum of limb k times 2^(k * bits).
 _LIMB_BITS = 32
-
-# Dividing by 1 + sign*q^m steps block by block, m coefficients of every
-# limb at a time, once a block holds this many limbs, and runs as one
-# cumsum across narrower blocks: on a 2-vCPU Xeon a block step costs
-# about 1.5 us plus 0.4 ns a limb, the cumsum 3 to 7 ns a limb.
-_BLOCK_LIMBS = 512
 
 # The outer-product path of _conv: pairs per chunk, and the cost of one
 # pair in slice multiply-adds (11 to 26 measured on phi*phi to order
@@ -423,28 +419,17 @@ def _carry(co: np.ndarray) -> np.ndarray:
 def _divide_binomial(co: np.ndarray, m: int, sign: int) -> None:
     """In place, divide by 1 + sign*q^m: q[i] = co[i] - sign*q[i-m].
 
-    Along each residue class mod m this is a running sum, on every limb
-    at once.  Blocks of at least _BLOCK_LIMBS limbs are summed one after
-    the other; narrower ones as one cumsum down the rows of co laid out
-    as (rows, m, limbs), and for sign = +1 the rows alternate in sign
-    before and after it.
+    With x = q^m, 1 / (1 + sign*x) = (1 - sign*x)(1 + x^2)(1 + x^4)...
+    up to the truncation order, so the division is ceil(log2(rows))
+    shift-adds on every limb at once, rows = ceil((trunc + 1) / m).
+    Each partial product sums at most rows terms of co, so the bound
+    that certifies the division certifies every step of it.
     """
-    n1, limbs = co.shape
-    if m * limbs >= _BLOCK_LIMBS:
-        for lo in range(m, n1, m):
-            hi = min(lo + m, n1)
-            if sign == 1:
-                co[lo:hi] -= co[lo - m : hi - m]
-            else:
-                co[lo:hi] += co[lo - m : hi - m]
-        return
-    rows = -(-n1 // m)
-    grid = np.zeros((rows * m, limbs), dtype=co.dtype)
-    grid[:n1] = co
-    grid = grid.reshape(rows, m, limbs)
     if sign == 1:
-        grid[1::2] *= -1
-    np.cumsum(grid, axis=0, out=grid)
-    if sign == 1:
-        grid[1::2] *= -1
-    co[:] = grid.reshape(-1, limbs)[:n1]
+        co[m:] -= co[:-m]
+    else:
+        co[m:] += co[:-m]
+    step = 2 * m
+    while step < len(co):
+        co[step:] += co[:-step]
+        step *= 2

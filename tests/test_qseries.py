@@ -469,17 +469,15 @@ def test_prod_ap_matches_the_tuple_code(factors, trunc):
     st.lists(st_factor, min_size=1, max_size=4),
     st.integers(2, 8),
     st.integers(0, 1 << 14),
-    st.integers(1, 60),
 )
-def test_prod_ap_exact_whatever_the_limit(factors, bits, spare, block):
+def test_prod_ap_exact_whatever_the_limit(factors, bits, spare):
     # Limbs of 2 to 8 bits in a window barely wide enough to certify an
     # order-40 step after a carry: carries, added limbs and negative top
     # limbs come at every step position in turn, and none may change a
-    # value.  Divisions take the block steps or the cumsum by turns.
+    # value.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qs, "_LIMB_BITS", bits)
         mp.setattr(qs, "_INT64_SAFE", (41 << bits) + spare)
-        mp.setattr(qs, "_BLOCK_LIMBS", block)
         got = qs._expand_ap(factors, 40).tolist()
     assert tuple(got) == ref_prod_ap(factors, 40)
 
