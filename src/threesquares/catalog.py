@@ -5,7 +5,9 @@ one interpreter evaluates both sides so every entry is auditable as
 data.  Interior nodes are the ring and exponent operations; the leaves
 are tuples of these kinds:
   ("f", r, s)                       f(r,s); phiK = f(K,K), psiK = f(K,3K)
-  ("prodap", factors)               products, see qseries.prod_ap
+  ("prodap", factors)               products, see qseries.prod_ap; an eta
+                                    quotient is one leaf, a factor
+                                    (k, k, -1, e) per E(k)^e, e signed
   ("zero",), ("q", m)               0 and q^m
   ("theta3", coeffs, constraint)    ternary lattice theta series
   ("theta2", coeffs, linear, const, constraint)
@@ -79,10 +81,6 @@ def div(x, y):
     return ("div", x, y)
 
 
-def dilate(k, x):
-    return ("dilate", k, x)
-
-
 def alt(x):
     return ("alt", x)
 
@@ -103,8 +101,9 @@ def F(r, s):
     return ("f", r, s)
 
 
-def E(k):
-    return prodap((k, k, -1, 1))
+def eta(*parts):
+    """The eta quotient, product of E(k)^e over its (k, e) parts, e signed."""
+    return prodap(*((k, k, -1, e) for k, e in parts))
 
 
 def Q(m):
@@ -193,8 +192,6 @@ def evaluate(expr: tuple, order: int) -> qs.QSeries:
         out = evaluate(expr[1], order).pow(expr[2])
     elif op == "div":
         out = evaluate(expr[1], order).divide_exact(evaluate(expr[2], order))
-    elif op == "dilate":
-        out = evaluate(expr[2], order).dilate(expr[1])
     elif op == "alt":
         out = evaluate(expr[1], order).alternate()
     elif op == "sift":
@@ -237,22 +234,20 @@ def _entries() -> list[IdentitySpec]:
         IdentitySpec(
             "E1.9",
             PHI(),
-            div(power(E(2), 5), mul(power(E(4), 2), power(E(1), 2))),
+            eta((2, 5), (4, -2), (1, -2)),
             "phi = E(2)^5 / (E(4)^2 E(1)^2)",
         ),
-        IdentitySpec(
-            "E1.11", PSI(), div(power(E(2), 2), E(1)), "psi = E(2)^2 / E(1)"
-        ),
+        IdentitySpec("E1.11", PSI(), eta((2, 2), (1, -1)), "psi = E(2)^2 / E(1)"),
         IdentitySpec(
             "E1.12",
             ff,
-            div(mul(E(20), E(5), power(E(2), 2)), mul(E(4), E(1))),
+            eta((20, 1), (5, 1), (2, 2), (4, -1), (1, -1)),
             "f(1,9) f(3,7) = E(20) E(5) E(2)^2 / (E(4) E(1))",
         ),
         IdentitySpec(
             "E1.13",
             mul(F(1, 4), F(2, 3)),
-            div(mul(power(E(5), 3), E(2)), mul(E(10), E(1))),
+            eta((5, 3), (2, 1), (10, -1), (1, -1)),
             "f(1,4) f(2,3) = E(5)^3 E(2) / (E(10) E(1))",
         ),
         IdentitySpec(
@@ -322,7 +317,7 @@ def _entries() -> list[IdentitySpec]:
         IdentitySpec(
             "E1.23",
             add(mul(PHI(), PHI(5)), theta2(2, 2, 3)),
-            scale(2, div(mul(E(10), E(5), E(4), E(2)), mul(E(20), E(1)))),
+            scale(2, eta((10, 1), (5, 1), (4, 1), (2, 1), (20, -1), (1, -1))),
             "phi phi5 + R[2,2,3] = 2 E(10) E(5) E(4) E(2) / (E(20) E(1))",
         ),
         IdentitySpec(
@@ -641,7 +636,7 @@ def _entries() -> list[IdentitySpec]:
         IdentitySpec(
             "E4.3",
             A(),
-            add(A(3), scale(6, mul(Q(1), div(power(E(9), 3), E(3))))),
+            add(A(3), scale(6, mul(Q(1), eta((9, 3), (3, -1))))),
             "a(q) = a(q^3) + 6 q E(9)^3 / E(3)",
         ),
         IdentitySpec(
@@ -710,13 +705,13 @@ def _entries() -> list[IdentitySpec]:
         IdentitySpec(
             "E4.11",
             F(1, 2),
-            div(mul(power(E(3), 2), E(2)), mul(E(6), E(1))),
+            eta((3, 2), (2, 1), (6, -1), (1, -1)),
             "f(1,2) = E(3)^2 E(2) / (E(6) E(1))",
         ),
         IdentitySpec(
             "E4.12",
             F(1, 5),
-            div(mul(E(12), E(3), power(E(2), 2)), mul(E(6), E(4), E(1))),
+            eta((12, 1), (3, 1), (2, 2), (6, -1), (4, -1), (1, -1)),
             "f(1,5) = E(12) E(3) E(2)^2 / (E(6) E(4) E(1))",
         ),
         IdentitySpec(
@@ -973,7 +968,7 @@ def _entries() -> list[IdentitySpec]:
             "EFINAL",
             mul(
                 Q(1),
-                scale(8, mul(alt(PSI()), power(E(2), 2))),
+                scale(8, mul(alt(PSI()), eta((2, 2)))),
                 sift(7, 5, prodap((2, 1, 1, 1))),
             ),
             add(
@@ -982,7 +977,7 @@ def _entries() -> list[IdentitySpec]:
                     PHI(7),
                     sub(
                         theta2(1, 1, 2),
-                        scale(2, dilate(4, theta2(1, 1, 2))),
+                        scale(2, theta2(4, 4, 8)),
                     ),
                 ),
             ),

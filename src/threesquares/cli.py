@@ -4,8 +4,9 @@ Subcommands: verify (identity catalog), count (single representation
 count), s (sums of three squares), genus (genus reports), prop54 (the
 weighted two-genus identity).  Exit codes: 0 all checks passed, 1 a
 verification failed or a construction could not be completed, 2 usage
-error or out of memory.  Output is deterministic: JSON lines are
-sorted-key and timing is confined to the human-readable table.
+error, out of memory, or a report that cannot be written.  Output is
+deterministic: JSON lines are sorted-key and timing is confined to the
+human-readable table.
 """
 
 from __future__ import annotations
@@ -361,6 +362,14 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        # A report that cannot be written: a missing directory, a
+        # directory path, or a reader that closed the pipe.
+        if isinstance(exc, BrokenPipeError):
+            # Stdout's flush at shutdown would fail on the pipe again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:
         # A construction that cannot be completed (tg2, lifting) is a

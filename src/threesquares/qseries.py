@@ -198,14 +198,6 @@ class QSeries:
 
     # -- exponent transforms ----------------------------------------------
 
-    def dilate(self, k: int) -> "QSeries":
-        """Send q to q^k; exponents above the truncation order are dropped."""
-        if k < 1:
-            raise ValueError("dilation step must be >= 1")
-        out = np.zeros(self.trunc + 1, dtype=self.array.dtype)
-        out[::k] = self.array[: self.trunc // k + 1]
-        return QSeries(self.trunc, out)
-
     def alternate(self) -> "QSeries":
         """Send q to -q: negate every odd-exponent coefficient."""
         out = self.array.copy()

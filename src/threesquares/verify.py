@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
+    PHI,
     PHI3,
     IdentitySpec,
     catalog as full_catalog,
-    dilate,
     evaluate,
     lookup,
+    power,
     scale,
     sift,
     sub,
@@ -159,7 +160,7 @@ def _branch_specs(p: int) -> list[IdentitySpec]:
         lhs, rhs = sift(p**3, p * p * r, PHI3), scale(c, sift(p, r, PHI3))
         text = f"S({p**3},{p * p * r}) phi^3 = {c} S({p},{r}) phi^3"
         if r == 0:
-            rhs = sub(rhs, scale(p, dilate(p, PHI3)))
+            rhs = sub(rhs, scale(p, power(PHI(p), 3)))
             text += f" - {p} phi^3(q^{p})"
         specs.append(IdentitySpec(f"HS{p}.n{r}", lhs, rhs, text))
     return specs

@@ -2,8 +2,11 @@
 
 import importlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from test_qseries import ref_dilate, series
 
 from threesquares import qseries as qs, verify
 from threesquares.lattice import (
@@ -20,12 +23,14 @@ from threesquares.catalog import (
     IdentitySpec,
     Q,
     catalog,
+    eta,
     evaluate,
     lookup,
     mul,
     power,
     scale,
     sift,
+    theta2,
 )
 from threesquares.verify import array_bytes, verify_identity
 
@@ -94,44 +99,48 @@ def test_evaluator_rejects_unknown_node():
 NODE_CHILDREN = {
     "f": (), "prodap": (), "zero": (), "q": (), "theta3": (), "theta2": (),
     "add": "all", "sub": "all", "mul": "all", "scale": (2,), "pow": (1,),
-    "div": "all", "dilate": (2,), "alt": (1,), "sift": (3,),
+    "div": "all", "alt": (1,), "sift": (3,),
 }
 
 
-def node_kinds(expr, found):
-    found.add(expr[0])
+def subtrees(expr):
+    """The tree and every subtree of it, depth first."""
+    yield expr
     where = NODE_CHILDREN[expr[0]]
     for i in (range(1, len(expr)) if where == "all" else where):
-        node_kinds(expr[i], found)
-    return found
+        yield from subtrees(expr[i])
+
+
+def every_spec():
+    return catalog() + verify._branch_specs(3) + verify._branch_specs(5)
+
+
+def every_subtree():
+    for spec in every_spec():
+        yield from subtrees(spec.lhs)
+        yield from subtrees(spec.rhs)
 
 
 def test_catalog_trees_use_exactly_the_evaluator_node_kinds():
-    specs = catalog() + verify._branch_specs(3) + verify._branch_specs(5)
-    found = set()
-    for spec in specs:
-        node_kinds(spec.lhs, found)
-        node_kinds(spec.rhs, found)
-    assert found == set(NODE_CHILDREN)
-    for retired in (("phi", 1), ("psi", 1), ("one",), ("neg", ("q", 1))):
+    assert {node[0] for node in every_subtree()} == set(NODE_CHILDREN)
+    for retired in (
+        ("phi", 1), ("psi", 1), ("one",), ("neg", ("q", 1)), ("dilate", 2, PHI()),
+    ):
         with pytest.raises(ValueError, match="unknown expression node"):
             evaluate(retired, 10)
 
 
-def lattice_leaves(expr, found):
-    if expr[0] in ("theta3", "theta2"):
-        found.add(expr)
-    where = NODE_CHILDREN[expr[0]]
-    for i in (range(1, len(expr)) if where == "all" else where):
-        lattice_leaves(expr[i], found)
-    return found
+def test_no_division_divides_by_a_product():
+    # Products divide inside prod_ap, as factors with negative exponents;
+    # div is left for the quotients by theta series the paper states.
+    divisors = [node[2] for node in every_subtree() if node[0] == "div"]
+    assert divisors
+    for divisor in divisors:
+        assert all(node[0] != "prodap" for node in subtrees(divisor)), divisor
 
 
 def test_array_bytes_bounds_every_lattice_leaf():
-    leaves = set()
-    for spec in catalog() + verify._branch_specs(3) + verify._branch_specs(5):
-        lattice_leaves(spec.lhs, leaves)
-        lattice_leaves(spec.rhs, leaves)
+    leaves = {node for node in every_subtree() if node[0] in ("theta3", "theta2")}
     assert {leaf[0] for leaf in leaves} == {"theta3", "theta2"}
     for leaf in leaves:
         for order in (0, 1, 7, 200):
@@ -222,3 +231,92 @@ def test_sifted_products_keep_one_memo_entry_per_miss(monkeypatch):
     with pytest.raises(ValueError):
         entry.array[0] += 1
     module.clear_cache()
+
+
+# -- the one-leaf rewrites against the trees they replaced ---------------------
+#
+# Each eta quotient was once a tree of E(k) = prodap((k, k, -1, 1)) leaves
+# joined by mul, pow and an exact division, and two sides sent q to q^k
+# with a dilate node.  Those trees are kept here as the reference, with
+# E(k) from euler_e, div from divide_exact and dilate from ref_dilate.
+
+
+def E(k):
+    return ("E", k)
+
+
+def div(x, y):
+    return ("div", x, y)
+
+
+def dilate(k, x):
+    return ("dilate", k, x)
+
+
+def ref_evaluate(tree, order):
+    op = tree[0]
+    if op == "E":
+        return qs.euler_e(tree[1], order)
+    if op == "mul":
+        out = ref_evaluate(tree[1], order)
+        for child in tree[2:]:
+            out = out * ref_evaluate(child, order)
+        return out
+    if op == "pow":
+        return ref_evaluate(tree[1], order).pow(tree[2])
+    if op == "div":
+        return ref_evaluate(tree[1], order).divide_exact(ref_evaluate(tree[2], order))
+    if op == "dilate":
+        return series(ref_dilate(ref_evaluate(tree[2], order).coeffs, tree[1]))
+    return evaluate(tree, order)
+
+
+ONE_LEAF_REWRITES = [
+    ("E1.9", div(power(E(2), 5), mul(power(E(4), 2), power(E(1), 2))),
+     eta((2, 5), (4, -2), (1, -2))),
+    ("E1.11", div(power(E(2), 2), E(1)), eta((2, 2), (1, -1))),
+    ("E1.12", div(mul(E(20), E(5), power(E(2), 2)), mul(E(4), E(1))),
+     eta((20, 1), (5, 1), (2, 2), (4, -1), (1, -1))),
+    ("E1.13", div(mul(power(E(5), 3), E(2)), mul(E(10), E(1))),
+     eta((5, 3), (2, 1), (10, -1), (1, -1))),
+    ("E1.23", div(mul(E(10), E(5), E(4), E(2)), mul(E(20), E(1))),
+     eta((10, 1), (5, 1), (4, 1), (2, 1), (20, -1), (1, -1))),
+    ("E4.3", div(power(E(9), 3), E(3)), eta((9, 3), (3, -1))),
+    ("E4.11", div(mul(power(E(3), 2), E(2)), mul(E(6), E(1))),
+     eta((3, 2), (2, 1), (6, -1), (1, -1))),
+    ("E4.12", div(mul(E(12), E(3), power(E(2), 2)), mul(E(6), E(4), E(1))),
+     eta((12, 1), (3, 1), (2, 2), (6, -1), (4, -1), (1, -1))),
+    ("EFINAL", power(E(2), 2), eta((2, 2))),
+    ("EFINAL", dilate(4, theta2(1, 1, 2)), theta2(4, 4, 8)),
+    ("HS3.n0", dilate(3, PHI3), power(PHI(3), 3)),
+    ("HS5.n0", dilate(5, PHI3), power(PHI(5), 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "ident, parent, leaf",
+    ONE_LEAF_REWRITES,
+    ids=[i + ("-dilation" if t[0] == "dilate" else "") for i, t, _ in ONE_LEAF_REWRITES],
+)
+def test_one_leaf_rewrite_equals_the_tree_it_replaced(ident, parent, leaf):
+    spec = next(s for s in every_spec() if s.id == ident)
+    assert leaf in set(subtrees(spec.lhs)) | set(subtrees(spec.rhs))
+    assert evaluate(leaf, 1000) == ref_evaluate(parent, 1000)
+
+
+def test_a_traced_catalog_run_sees_every_memo_miss(monkeypatch, tmp_path):
+    # The benchmark's traced rounds wrap program functions by name
+    # (bench/tracing.py) and then require one traced miss per memo entry.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.chdir(tmp_path)
+    tracing = importlib.import_module("tracing")
+    module = importlib.import_module("threesquares.catalog")
+    tracer = tracing.Tracer()
+    with tracing.Wiring(tracer):
+        reports = verify.run_catalog(100)
+    assert all(r.status == "pass" for r in reports)
+    assert tracer.metrics()["catalog.memo_misses"] == len(module._CACHE) > 0
+    names = {span[0] for span in tracer.spans}
+    assert {"qseries.prod_ap", "qseries.divide_exact"} <= names
+    assert not any(tmp_path.iterdir())

@@ -1,7 +1,11 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,50 @@ def test_out_of_memory_is_a_one_line_usage_error(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def _one_error_line(err: str) -> None:
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report"
+    code, out, err = run_cli(["genus", "--p", "3", "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    _one_error_line(err)
+    assert "No such file or directory" in err
+
+
+def test_output_at_a_directory_path_is_a_usage_error(tmp_path, capsys):
+    argv = ["verify", "--all", "--order", "10", "--output", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    _one_error_line(err)
+    assert "Is a directory" in err
+
+
+def test_a_pipe_closed_early_is_a_usage_error():
+    # 200001 rows are far more than a pipe buffers, so the writer meets
+    # the closed pipe; nothing may be reported again at shutdown.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "threesquares.cli", "s", "--max", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline().split() == [b"n", b"s"]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    _one_error_line(err)
+    assert "Broken pipe" in err
+    assert "Exception ignored" not in err
 
 
 def _disc_over_the_ceiling(monkeypatch, capsys, disc):

@@ -184,11 +184,11 @@ def test_truncation_mismatch_is_an_error():
 
 def test_dilate_sift_alternate_basics():
     phi = phi_series(40)
-    assert phi.dilate(1) == phi
-    assert phi.dilate(4) == phi_series(40, 4)
+    phi4 = series(ref_dilate(phi.coeffs, 4))
+    assert phi4 == phi_series(40, 4)
+    assert phi4.sift(4, 0) == phi.truncate(10)
     assert phi.alternate().alternate() == phi
     assert phi.alternate()[1] == -2
-    assert phi.dilate(2).dilate(3) == phi.dilate(6)
 
 
 def test_sift_spot_values():
@@ -211,13 +211,13 @@ def test_sift_spot_values():
 
 def test_sift_inverts_dilation():
     ser = series([3, -1, 4, 1, -5, 9, 2, 6])
-    dil = ser.dilate(3)
+    dil = series(ref_dilate(ser.coeffs, 3))
     assert dil.sift(3, 0) == ser.truncate(dil.trunc // 3)
 
 
 def test_sift_inverts_shifted_dilation():
     ser = series([3, -1, 4, 1, -5, 9, 2, 6])
-    shifted = qs.monomial(ser.trunc, 1) * ser.dilate(3)
+    shifted = qs.monomial(ser.trunc, 1) * series(ref_dilate(ser.coeffs, 3))
     recovered = shifted.sift(3, 1)
     assert recovered == ser.truncate(recovered.trunc)
 
@@ -284,7 +284,7 @@ def test_dissection_completeness(a, t):
 @settings(max_examples=40, deadline=None)
 @given(st_series, st.integers(1, 7))
 def test_sift_of_dilate_recovers(a, t):
-    dil = a.dilate(t)
+    dil = series(ref_dilate(a.coeffs, t))
     assert dil.sift(t, 0) == a.truncate(dil.trunc // t)
 
 
@@ -446,7 +446,6 @@ def test_sifted_conv_matches_product_then_sift(pair, t, data):
 def test_exponent_transforms_match_the_tuple_code(a, t, data):
     s = data.draw(st.integers(0, min(t - 1, a.trunc)))
     assert a.sift(t, s).coeffs == ref_sift(a.coeffs, t, s)
-    assert a.dilate(t).coeffs == ref_dilate(a.coeffs, t)
     assert a.alternate().coeffs == ref_alternate(a.coeffs)
 
 
