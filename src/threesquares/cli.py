@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -121,6 +122,15 @@ def _emit(
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Fail as opening path for writing would, before any work: the path
+    must name a file, not a directory, in a directory that exists."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _parse_form(text: str):
@@ -354,6 +364,8 @@ def main(argv=None) -> int:
     if getattr(args, "max_n", 0) < 0:
         raise UsageError("--max-n must be non-negative")
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except UsageError:
         raise

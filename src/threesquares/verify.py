@@ -27,6 +27,8 @@ from .catalog import (
     catalog as full_catalog,
     evaluate,
     lookup,
+    plan,
+    planned,
     power,
     scale,
     sift,
@@ -36,6 +38,7 @@ from .catalog import (
 from .forms import legendre
 from .genera import HResult, find_h, require_odd_prime, tg1, tg2
 from .lattice import point_array_bytes, s_table, theta_series_ternary
+from .qseries import prod_ap_bytes
 
 
 @dataclass(frozen=True)
@@ -100,28 +103,34 @@ def verify_identity(spec_or_id, order: int) -> VerificationReport:
 
 def array_bytes(expr: tuple, order: int) -> int:
     """A bound on the bytes of the largest array evaluate(expr, order)
-    builds: a sift asks its child for t*order + s, other nodes pass their
-    order on, and the deepest arrays are leaves.
-
-    Completing the square, a binary leaf's exponent is <= N where its
-    quadratic part at (m, n) + h is <= N - w + (c u^2 - b u v + a v^2) /
-    (4ac - b^2).
+    builds: the largest over the subtrees, each at the deepest order the
+    evaluation asks of it (catalog.plan).
     """
+    return max(_node_bytes(node, at) for node, at in plan([expr], order).items())
+
+
+def _node_bytes(expr: tuple, order: int) -> int:
     op = expr[0]
-    if op == "sift":
-        return array_bytes(expr[3], expr[1] * order + expr[2])
     if op == "theta3":
         return point_array_bytes(3, order)
     if op == "theta2":
+        # Completing the square, a binary leaf's exponent is <= N where
+        # its quadratic part at (m, n) + h is <= N - w +
+        # (c u^2 - b u v + a v^2) / (4ac - b^2).
         (a, b, c), (u, v), w = expr[1:4]
         d = 4 * a * c - b * b
         shift = c * u * u - b * u * v + a * v * v
         return point_array_bytes(2, (order - w) * d + shift, d)
-    # The tuple arguments of an interior node are its subtrees.
-    children = () if op == "prodap" else [x for x in expr[1:] if isinstance(x, tuple)]
-    return max(
-        (array_bytes(child, order) for child in children), default=8 * (order + 1)
-    )
+    if op == "prodap":
+        return prod_ap_bytes(expr[1], order)
+    return 8 * (order + 1)
+
+
+def _verify_planned(specs, order: int) -> list[VerificationReport]:
+    """verify_identity on each spec in turn, every subtree of the specs
+    built once, at the deepest order any of them asks of it."""
+    with planned([x for spec in specs for x in (spec.lhs, spec.rhs)], order):
+        return [verify_identity(spec, order) for spec in specs]
 
 
 def run_catalog(order: int, ids=None) -> list[VerificationReport]:
@@ -132,7 +141,7 @@ def run_catalog(order: int, ids=None) -> list[VerificationReport]:
         if unknown:
             raise KeyError(f"unknown identity ids: {sorted(unknown)}")
         specs = [s for s in specs if s.id in wanted]
-    return [verify_identity(s, order) for s in specs]
+    return _verify_planned(specs, order)
 
 
 # -- the prime-square recursion for sums of three squares -------------------
@@ -206,9 +215,7 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
     if p in _CHAIN_IDS and first_fail is None:
         chain_used = chain_order
         specs = [lookup(i) for i in _CHAIN_IDS[p]] + _branch_specs(p)
-        chain_reports = tuple(
-            verify_identity(spec, chain_order) for spec in specs
-        )
+        chain_reports = tuple(_verify_planned(specs, chain_order))
     ok = first_fail is None and all(r.status == "pass" for r in chain_reports)
     return HSReport(
         p, max_n, "pass" if ok else "fail", first_fail, chain_used,

@@ -3,8 +3,10 @@
 import importlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_qseries import ref_dilate, series
 
@@ -28,9 +30,12 @@ from threesquares.catalog import (
     lookup,
     mul,
     power,
+    prodap,
     scale,
     sift,
+    sub,
     theta2,
+    theta3,
 )
 from threesquares.verify import array_bytes, verify_identity
 
@@ -320,3 +325,76 @@ def test_a_traced_catalog_run_sees_every_memo_miss(monkeypatch, tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"qseries.prod_ap", "qseries.divide_exact"} <= names
     assert not any(tmp_path.iterdir())
+
+
+# -- planned runs ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [40, 97])
+def test_planned_sides_equal_a_cold_unplanned_evaluation(order):
+    module = importlib.import_module("threesquares.catalog")
+    verify.run_catalog(order)
+    planned = {
+        side: evaluate(side, order)
+        for spec in catalog()
+        for side in (spec.lhs, spec.rhs)
+    }
+    for side, got in planned.items():
+        module.clear_cache()
+        assert got == evaluate(side, order), side
+
+
+def test_a_planned_shallow_entry_is_a_read_only_view_of_its_deep_entry():
+    module = importlib.import_module("threesquares.catalog")
+    order = 97
+    deepest = module.plan(
+        [x for spec in catalog() for x in (spec.lhs, spec.rhs)], order
+    )[PHI()]
+    assert deepest == 529 * order
+    verify.run_catalog(order)
+    shallow = module._CACHE[(PHI(), order)].array
+    deep = module._CACHE[(PHI(), deepest)].array
+    assert np.shares_memory(shallow, deep)
+    with pytest.raises(ValueError):
+        shallow[0] += 1
+
+
+def test_the_plan_follows_the_evaluator_orders():
+    module = importlib.import_module("threesquares.catalog")
+    theta = theta3(1, 1, 1, 0, 0, 0)
+    expr = sub(sift(4, 2, mul(PHI(), theta)), scale(3, PHI()))
+    # The sift asks the product's two factors, not the product, for 42.
+    assert module.plan([expr], 10) == {
+        expr: 10, expr[1]: 10, expr[2]: 10, PHI(): 42, theta: 42,
+    }
+
+
+def test_run_catalog_drops_its_plan(monkeypatch):
+    module = importlib.import_module("threesquares.catalog")
+    verify.run_catalog(50)
+    assert module._PLAN == {}
+    module.clear_cache()
+    evaluate(PHI(), 50)
+    assert list(module._CACHE) == [(PHI(), 50)]
+
+    def broken(spec, order):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verify, "verify_identity", broken)
+    with pytest.raises(RuntimeError):
+        verify.run_catalog(50)
+    assert module._PLAN == {}
+
+
+@pytest.mark.parametrize("order", [1000, 2000, 7005])
+def test_array_bytes_bounds_the_traced_peak_of_a_multi_limb_product(order):
+    # The distinct-odd-parts product reaches 144 bits at 7005 (five limbs).
+    leaf = prodap((2, 1, 1, 1))
+    tracemalloc.start()
+    try:
+        qs.prod_ap(list(leaf[1]), order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= array_bytes(leaf, order), (peak, array_bytes(leaf, order))
+    assert array_bytes(sift(7, 5, leaf), 1000) == array_bytes(leaf, 7005)

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -305,6 +306,64 @@ def test_output_at_a_directory_path_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     _one_error_line(err)
     assert "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv, attr",
+    [
+        (["verify", "--all", "--order", "1000"], "run_catalog"),
+        (["genus", "--p", "23"], "tg1"),
+        (["prop54", "--p", "3,5"], "verify_prop54"),
+        (["s", "--max", "100"], "s_table"),
+    ],
+    ids=["verify", "genus", "prop54", "s"],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_a_bad_output_path_fails_before_any_work(
+    monkeypatch, capsys, tmp_path, argv, attr, where
+):
+    target = tmp_path / "missing" / "report" if where == "missing-dir" else tmp_path
+    err = _refuses_before_work(
+        monkeypatch, capsys, [attr], argv + ["--output", str(target)]
+    )
+    _one_error_line(err)
+    reason = {"missing-dir": "[Errno 2] No such file or directory",
+              "directory": "[Errno 21] Is a directory"}[where]
+    assert err == f"error: {reason}: '{target}'\n"
+
+
+# The deterministic stdout of the three end-to-end reports; any change to
+# them must say why.
+GOLDEN = [
+    (["verify", "--all", "--order", "1000", "--format", "json"],
+     "65efa062a3dbf348f23c31e886e8894d9497f5d29229e19ec81a56477276162a"),
+    (["genus", "--p", "23", "--format", "json"],
+     "8822351471752ee5785c5409ea0e85e76d7669fb100d3693e38bcf5c4ed1ed7d"),
+    (["prop54", "--p", "3,5,7", "--max-n", "300", "--format", "json"],
+     "ae57ba668898c1397d784702681ecca604772d9a291e4dc41a49578e0c6c43a6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["verify", "genus", "prop54"])
+def test_reports_are_byte_identical_to_the_golden_output(capsys, argv, digest):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "threesquares", "verify", "--id", "E1.9",
+         "--order", "50", "--format", "json"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "firstMismatch": None, "id": "E1.9", "order": 50, "status": "pass",
+    }
 
 
 def test_a_pipe_closed_early_is_a_usage_error():
