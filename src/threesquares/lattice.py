@@ -9,7 +9,10 @@ part (u, v) and a constant shift added to the exponent.
 Points come from one row generator per arity (_ternary_rows; the n-loop
 of theta_series_binary) and one expansion of rows into int64 arrays,
 _spread.  short_vectors and theta_series_binary each prove their int64
-bound before expanding, or raise ValueError.
+bound before expanding, or raise ValueError.  A constrained ternary
+theta walks only the rows (y, z) whose residues some allowed tuple
+has, and masks x on those; the binary theta builds every row, since
+it checks each point for a negative affine exponent.
 
 s_table returns a read-only prefix view of the largest s table built so
 far.  That table is held for the whole process in the module dict
@@ -140,7 +143,7 @@ def _x_range(aa: int, bb: int, cc: int, n: int):
     return -((bb + s) // (2 * aa)), (-bb + s) // (2 * aa)
 
 
-def _ternary_rows(form: TernaryForm, bound: int):
+def _ternary_rows(form: TernaryForm, bound: int, admit=None):
     """Yield (y, z, b1, c1) for every row holding a triple of value <= bound.
 
     On row (y, z) the value is a*x^2 + b1*x + c1.  Completing the square
@@ -148,6 +151,13 @@ def _ternary_rows(form: TernaryForm, bound: int):
     P2(y,z) <= 4*a*bound, with P2 = (4ab-f^2) y^2 + (4ad-2ef) yz
     + (4ac-e^2) z^2 and 4*(4ab-f^2)*(4ac-e^2) - (4ad-2ef)^2 = 16*a*disc.
     So every yielded row has b1^2 - 4*a*(c1 - bound) = 4*a*bound - P2 >= 0.
+
+    Rows come z ascending, then y ascending.  An (m, m) boolean table
+    admit keeps only the rows with admit[y % m, z % m]: a z with no
+    admitted y is skipped, and on any other z each admitted residue
+    class of y is walked upwards in steps of m, one class after
+    another, so a rejected row costs nothing.  Without admit the walk
+    is the one class of m = 1.
     """
     if bound < 0:
         return
@@ -156,16 +166,27 @@ def _ternary_rows(form: TernaryForm, bound: int):
     b2 = 4 * a * d - 2 * e * f
     c2 = 4 * a * c - e * e
     zmax = isqrt(a2 * bound // form.disc())
+    if admit is None:
+        m, classes = 1, [(0,)]
+    else:
+        m = len(admit)
+        classes = [np.flatnonzero(admit[:, r]).tolist() for r in range(m)]
+    fm, bmm = f * m, 2 * b * m * m
     for z in range(-zmax, zmax + 1):
+        residues = classes[z % m]
+        if not residues:
+            continue
         ylo, yhi = _x_range(a2, b2 * z, c2 * z * z - 4 * a * bound, 0)
-        b1 = f * ylo + e * z
-        c1 = b * ylo * ylo + c * z * z + d * ylo * z
-        step = b * (2 * ylo + 1) + d * z
-        for y in range(ylo, yhi + 1):
-            yield y, z, b1, c1
-            b1 += f
-            c1 += step
-            step += 2 * b
+        for r in residues:
+            y0 = ylo + (r - ylo) % m
+            b1 = f * y0 + e * z
+            c1 = b * y0 * y0 + c * z * z + d * y0 * z
+            step = m * (b * (2 * y0 + m) + d * z)
+            for y in range(y0, yhi + 1, m):
+                yield y, z, b1, c1
+                b1 += fm
+                c1 += step
+                step += bmm
 
 
 def _spread(a: int, rows: list, ncoord: int) -> np.ndarray:
@@ -191,23 +212,31 @@ def _spread(a: int, rows: list, ncoord: int) -> np.ndarray:
     return out
 
 
-def _histogram(trunc: int, points: np.ndarray, constraint) -> np.ndarray:
+def _residue_table(constraint, arity: int):
+    """None, or a constraint's allowed residues as a boolean table of
+    shape (modulus,) * arity; a tuple of another arity raises ValueError.
+    """
+    if constraint is None:
+        return None
+    if any(len(t) != arity for t in constraint.allowed):
+        raise ValueError(f"constraint arity does not match {arity} variables")
+    table = np.zeros((constraint.modulus,) * arity, dtype=bool)
+    for t in constraint.allowed:
+        table[t] = True
+    return table
+
+
+def _histogram(trunc: int, points: np.ndarray, table) -> np.ndarray:
     """Counts of the values 0..trunc in the last column of points.
 
-    A constraint keeps the rows whose coordinates' residues are allowed in
-    its boolean table of shape (modulus,) * arity.
+    A residue table (see _residue_table) keeps the rows whose
+    coordinates' residues it allows.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
     values = points[:, -1]
-    if constraint is not None:
-        arity = points.shape[1] - 1
-        if any(len(t) != arity for t in constraint.allowed):
-            raise ValueError(f"constraint arity does not match {arity} variables")
-        table = np.zeros((constraint.modulus,) * arity, dtype=bool)
-        for t in constraint.allowed:
-            table[t] = True
-        values = values[table[tuple((points[:, :-1] % constraint.modulus).T)]]
+    if table is not None:
+        values = values[table[tuple((points[:, :-1] % len(table)).T)]]
     return np.bincount(values, minlength=trunc + 1)
 
 
@@ -216,11 +245,16 @@ def theta_series_ternary(
 ) -> QSeries:
     """Theta series: coefficient of q^n counts triples with form value n.
 
-    The nonzero triples are the rows of short_vectors(form, trunc); the
+    The nonzero triples are the rows of short_vectors(form, trunc).  A
+    constraint's arity is checked first.  Its points are then built
+    only on the rows (y, z) whose residues some allowed tuple has, and
+    the full constraint keeps the points whose x it allows too.  The
     origin is counted by the same constraint rule.
     """
-    counts = _histogram(trunc, short_vectors(form, trunc), constraint)
-    counts[0] += _histogram(0, np.zeros((1, 4), dtype=np.int64), constraint)[0]
+    table = _residue_table(constraint, 3)
+    admit = None if table is None else table.any(axis=0)
+    counts = _histogram(trunc, short_vectors(form, trunc, admit), table)
+    counts[0] += 1 if table is None else int(table[0, 0, 0])
     return QSeries(trunc, counts)
 
 
@@ -261,7 +295,8 @@ def theta_series_binary(
     if len(negative):
         m, n, val = points[negative[0]].tolist()
         raise ValueError(f"affine exponent {val} is negative at (m,n)=({m},{n})")
-    return QSeries(trunc, _histogram(trunc, points, constraint))
+    table = _residue_table(constraint, 2)
+    return QSeries(trunc, _histogram(trunc, points, table))
 
 
 def rep_count_ternary(form: TernaryForm, n: int) -> int:
@@ -374,15 +409,16 @@ def s_table(n_max: int) -> np.ndarray:
     return s
 
 
-def short_vectors(form: TernaryForm, bound: int) -> np.ndarray:
+def short_vectors(form: TernaryForm, bound: int, admit=None) -> np.ndarray:
     """All integer triples v != 0 with form(v) <= bound, with their values.
 
     One (n, 4) int64 array of rows (x, y, z, value), row by row in the
     order of _ternary_rows with x ascending (one _spread run per row).
-    Every coordinate obeys x_i^2 <= bound * adj(G)_ii / disc (adj of the
-    doubled Gram G), so bounding each term of a*x^2 + b1*x + c1 by those
-    maxima certifies int64 before any array is built; a larger bound
-    raises ValueError.
+    An (m, m) boolean table admit keeps only the rows (y, z) with
+    admit[y % m, z % m] (see _ternary_rows).  Every coordinate obeys
+    x_i^2 <= bound * adj(G)_ii / disc (adj of the doubled Gram G), so
+    bounding each term of a*x^2 + b1*x + c1 by those maxima certifies
+    int64 before any row is walked; a larger bound raises ValueError.
     """
     a, b, c, d, e, f = form.as_tuple()
     disc = form.disc()
@@ -401,7 +437,7 @@ def short_vectors(form: TernaryForm, bound: int) -> np.ndarray:
             f"(worst intermediate {worst} >= 2^62)"
         )
     rows = []
-    for y, z, b1, c1 in _ternary_rows(form, bound):
+    for y, z, b1, c1 in _ternary_rows(form, bound, admit):
         xlo, xhi = _x_range(a, b1, c1, bound)
         if y == z == 0:
             # The row through the origin is xlo..-xlo; leave out x = 0.

@@ -335,31 +335,40 @@ def prod_ap(factors, trunc: int) -> QSeries:
 def prod_ap_bytes(factors, trunc: int) -> int:
     """A bound on the bytes prod_ap(factors, trunc) holds at once.
 
-    If every factor is (1 + q^m)^e with e > 0, each partial product that
-    _expand_ap forms has nonnegative coefficients, none above the whole
-    product M's, so each is at most M(x) / x^trunc for 0 < x = e^-u < 1.
-    log M(x) is at most the sum over factors (a, b, _, e) of
-    e * (log(1 + x^b) + pi^2 / (12 a u)): the first term of the sum over
-    j, plus an integral for the rest.  u = sqrt(C / trunc) balances the
-    C / u part against trunc * u.  A coefficient below 2^bits takes L
-    limbs, the top one below 2^31.  The steps hold the (trunc + 1, L)
-    limbs and one equal shift-add temporary.  Past one limb, the rebuild
-    holds per coefficient the limbs, an int of 32 L bits with its pointer
-    (at most 40 + 8 L bytes) and one limb column cast to ints (48 bytes).
+    Every array _expand_ap forms is a partial product of the factors,
+    or, inside a division by 1 + sign*q^m, such a product times
+    (1 - sign*q^m)(1 + q^2m)(1 + q^4m)...  Put (1 + q^m)^e in place of
+    each term (1 + sign*q^m)^e with e > 0, and 1 / (1 - q^m)^-e in place
+    of one with e < 0.  The result M has nonnegative coefficients that
+    bound the absolute values of every such array's, since (1 + x)(1 +
+    x^2)...(1 + x^(2^k)) is a truncation of 1 / (1 - x).  So each
+    coefficient up to trunc is at most M(x) / x^trunc for 0 < x = e^-u
+    < 1.  log M(x) is at most the sum over factors (a, b, _, e) of
+    e * (log(1 + x^b) + pi^2 / (12 a u)) for e > 0, and of
+    -e * (-log(1 - x^b) + pi^2 / (6 a u)) for e < 0: the first term of
+    the sum over j, plus an integral for the rest.  u = sqrt(C / trunc)
+    balances the C / u part against trunc * u.  A coefficient below
+    2^bits takes L limbs, the top one below 2^31.  The steps hold the
+    (trunc + 1, L) limbs and one equal shift-add temporary.  Past one
+    limb, the rebuild holds per coefficient the limbs, an int of 32 L
+    bits with its pointer (at most 40 + 8 L bytes) and one limb column
+    cast to ints (48 bytes).
 
-    Other factors make the partial products cancel toward a small
-    result, which this majorant cannot see: its bits grow as
-    sqrt(trunc), far past the limbs the catalog's eta quotients take.
-    Such a product counts its int64 result only, which falls short once
-    a quotient's expansion carries.
+    The majorant cannot see the cancellation in a product of
+    (1 - q^m) factors, so its bits grow as sqrt(trunc): E(2)^5 / (E(4)^2
+    E(1)^2) takes 4 limbs at order 4000, and this bound counts 15.
     """
     rows = trunc + 1
-    if not factors or any(sign != 1 or e < 0 for _a, _b, sign, e in factors):
+    if not factors:
         return 8 * rows
-    c = sum(e * pi**2 / (12 * a) for a, _b, _sign, e in factors)
+    c = sum(
+        e * pi**2 / (12 * a) if e > 0 else -e * pi**2 / (6 * a)
+        for a, _b, _sign, e in factors
+    )
     u = sqrt(c / max(trunc, 1))
     log_max = trunc * u + c / u + sum(
-        e * log1p(exp(-u * b)) for _a, b, _sign, e in factors
+        e * log1p(exp(-u * b)) if e > 0 else e * log1p(-exp(-u * b))
+        for _a, b, _sign, e in factors
     )
     bits = ceil(log_max / log(2)) + 1
     limbs = 1 + max(0, -(-(bits - 30) // _LIMB_BITS))

@@ -386,6 +386,32 @@ def test_run_catalog_drops_its_plan(monkeypatch):
     assert module._PLAN == {}
 
 
+def test_array_bytes_bounds_the_limbs_and_peak_of_an_eta_quotient(monkeypatch):
+    # E1.9's E(2)^5 / (E(4)^2 E(1)^2) is small, but its expansion carries
+    # into 4 limbs at order 4000 on the way there.
+    leaf = eta((2, 5), (4, -2), (1, -2))
+    limbs = [1]
+    carry = qs._carry
+
+    def counting(co):
+        co = carry(co)
+        limbs.append(co.shape[1])
+        return co
+
+    monkeypatch.setattr(qs, "_carry", counting)
+    tracemalloc.start()
+    try:
+        quotient = qs.prod_ap(list(leaf[1]), 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert quotient.array.dtype == np.int64
+    assert max(limbs) == 4
+    bound = array_bytes(leaf, 4000)
+    assert 4001 * (16 * max(limbs) + 88) <= bound
+    assert peak <= bound, (peak, bound)
+
+
 @pytest.mark.parametrize("order", [1000, 2000, 7005])
 def test_array_bytes_bounds_the_traced_peak_of_a_multi_limb_product(order):
     # The distinct-odd-parts product reaches 144 bits at 7005 (five limbs).

@@ -528,12 +528,14 @@ def test_verify_order_above_the_array_cap(monkeypatch, capsys, via_env):
         f"over the {cli.ARRAY_CAP}-byte cap of an int32 s table\n"
     )
     _passes_the_cap(monkeypatch, capsys, "run_catalog", argv(6439))
-    # One identity is bounded by its own trees: E1.9 has no lattice leaf.
+    # One identity is bounded by its own trees: E1.9 has no lattice leaf,
+    # and its eta quotient's majorant takes 7084 limbs at this order.
     err = _refuses_before_work(
         monkeypatch, capsys, ["run_catalog"],
         ["verify", "--id", "E1.9", "--order", "1000000000"],
     )
-    assert "--order 1000000000 needs a 8000000008-byte array" in err
+    need = (10**9 + 1) * (16 * 7084 + 88)
+    assert f"--order 1000000000 needs a {need}-byte array" in err
 
 
 def test_genus_max_n_above_the_array_cap(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from threesquares.lattice import (
     theta_series_ternary,
 )
 from threesquares.lattice import _ternary_rows, _x_range
+from threesquares.catalog import T_FORM, X
 from threesquares.forms import enumerate_classes
 
 
@@ -118,12 +119,21 @@ def ref_theta_binary(bform, trunc, constraint=None):
 
 @st.composite
 def constraints(draw, arity):
-    """None, or a random set of allowed residue tuples modulo 2..4."""
+    """None, or allowed residue tuples modulo 1..8: a random set, the
+    empty set, or row-shaped (every residue of the first variable for
+    each allowed residue tuple of the others), as the catalog's X(r) are.
+    """
     if draw(st.booleans()):
         return None
-    mod = draw(st.integers(2, 4))
+    mod = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["random", "rows", "empty"]))
+    if shape == "empty":
+        return Constraint(mod, frozenset())
     residue = st.tuples(*[st.integers(0, mod - 1)] * arity)
-    return Constraint(mod, frozenset(draw(st.sets(residue))))
+    allowed = draw(st.sets(residue, max_size=12))
+    if shape == "rows":
+        allowed = {(x, *t[1:]) for t in allowed for x in range(mod)}
+    return Constraint(mod, frozenset(allowed))
 
 
 def same_outcome(array_route, reference):
@@ -427,10 +437,35 @@ def test_constraint_allowing_everything_is_no_op():
     assert theta_series_ternary(form, 40, allow_all) == theta_series_ternary(form, 40)
 
 
-def test_constraint_arity_mismatch():
-    form = TernaryForm(1, 1, 3, 0, 0, 1)
-    with pytest.raises(ValueError):
-        theta_series_ternary(form, 10, Constraint(2, frozenset({(0, 1)})))
+def test_constraint_arity_mismatch(monkeypatch):
+    # A ternary theta checks the arity before it builds any point.
+    def no_expansion(*args):
+        raise AssertionError("points expanded before the arity check")
+
+    monkeypatch.setattr(lattice, "_spread", no_expansion)
+    pairs = Constraint(4, frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match="constraint arity does not match 3"):
+        theta_series_ternary(TernaryForm(*T_FORM), 4001, pairs)
+
+
+def test_a_constrained_theta_builds_only_its_admitted_rows(monkeypatch):
+    # X(1) admits y = 1 and z = 3 mod 4 with x free: a sixteenth of the
+    # rows of T.  Were every row built and masked, this would fail.
+    form = TernaryForm(*T_FORM)
+    points = lattice.short_vectors(form, 4001)
+    built = []
+    spread = lattice._spread
+
+    def counting(*args):
+        out = spread(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(lattice, "_spread", counting)
+    theta = theta_series_ternary(form, 4001, X(1)[2])
+    assert len(built) == 1 and 0 < 8 * built[0] <= len(points)
+    keep = (points[:, 1] % 4 == 1) & (points[:, 2] % 4 == 3)
+    assert theta.coeffs == tuple(np.bincount(points[keep, 3], minlength=4002))
 
 
 def test_constraint_validation():
