@@ -16,13 +16,14 @@ partial result stays below 2^62:
                  side that is looped over (see _conv)
   prod_ap        a running bound on every radix-2^32 limb over the
                  binomial steps (see _expand_ap)
-A failed certificate never raises: the operation runs on the object
-dtype, and the result is stored as int64 again if its values fit.
-prod_ap alone never runs on Python ints: when its bound fails it does
-one exact carry pass across its int64 limbs, and only a final result
-of more than one limb is rebuilt as Python ints.  A carry certifies
-only steps of an order below 2^30, so prod_ap raises ValueError for
-orders at or above 2^30.
+A failed certificate never raises, and the result is stored as int64
+again if its values fit.  add, sub and scale run on the object dtype.
+A product runs on signed int64 limbs narrow enough that every limb-pair
+sum is certified, and joins them once as Python ints.  prod_ap carries
+its int64 limbs: when its bound fails it does one exact carry pass, and
+only a final result of more than one limb is rebuilt as Python ints.  A
+carry certifies only steps of an order below 2^30, so prod_ap raises
+ValueError for orders at or above 2^30.
 Truncation and sifting are array views; read-only arrays let the
 catalog memo and those views share memory safely.
 
@@ -237,28 +238,95 @@ def _conv(x: QSeries, y: QSeries, t: int, s: int, n: int) -> QSeries:
     j adds one strided slice of the other side, so the work is
     nz * (n + 1) whatever t is.  Every output coefficient is a sum of at
     most nz products, each at most bound(x) * bound(y), which certifies
-    int64; otherwise the loop runs on Python ints.  When the denser side
-    is also sparse next to the output length, the certified product
-    runs as an outer product of the two nonzero lists instead.
+    int64; otherwise the loop runs on signed int64 limbs (_conv_limbs).
+    When the denser side is also sparse next to the output length, the
+    certified product runs as an outer product of the two nonzero lists
+    instead.
     """
     top = t * n + s
     if x.trunc < top or y.trunc < top:
         raise ValueError(f"factors known to order {min(x.trunc, y.trunc)}, need {top}")
     a, b = x.array[: top + 1], y.array[: top + 1]
     ja, jb = np.flatnonzero(a), np.flatnonzero(b)
+    bounds = x.bound, y.bound
     if len(jb) < len(ja):
-        a, b, ja, jb = b, a, jb, ja
+        a, b, ja, jb, bounds = b, a, jb, ja, bounds[::-1]
     if not len(ja):
         return zero(n)
-    dt = _dtype(len(ja) * x.bound * y.bound)
-    if dt is np.int64 and _OUTER_COST * len(jb) < n + 1:
+    if len(ja) * x.bound * y.bound >= _INT64_SAFE:
+        return QSeries(n, _conv_limbs(a, b, ja, *bounds, t, s, n))
+    if _OUTER_COST * len(jb) < n + 1:
         return QSeries(n, _outer(a, b, ja, jb, t, s, n))
-    a, b = a.astype(dt, copy=False), b.astype(dt, copy=False)
-    out = np.zeros(n + 1, dtype=dt)
+    out = np.zeros(n + 1, dtype=np.int64)
+    _strided(out, a, b, ja, t, s)
+    return QSeries(n, out)
+
+
+def _strided(out, a, b, ja, t, s) -> None:
+    """In place, out[k] += a[j] * b[t*k + s - j] over j in ja.
+
+    b and out may be 2-D: each row is then a run of limbs.
+    """
+    n1 = len(out)
     for j in ja.tolist():
         k0 = max(0, -((s - j) // t))  # least k with t*k + s >= j
-        out[k0:] += a[j] * b[t * k0 + s - j :: t][: n + 1 - k0]
-    return QSeries(n, out)
+        out[k0:] += a[j] * b[t * k0 + s - j :: t][: n1 - k0]
+
+
+def _conv_limbs(a, b, ja, bound_a, bound_b, t, s, n) -> np.ndarray:
+    """_conv's coefficients when nz * bound_a * bound_b fails: Python ints.
+
+    Each factor is split into signed int64 limbs of radix 2^w (_split),
+    each at most 2^w in absolute value; a factor below 2^w is one limb,
+    bounded by its own bound.  Limb p of a times limb q of b lands in
+    column p + q, so a column sums at most nz * min(la, lb) products of
+    two limbs; w is the widest radix whose limb bounds certify this.
+    The columns are joined once (_join).
+    """
+    nz = len(ja)
+    for w in range(62, 0, -1):
+        la = -(-bound_a.bit_length() // w)
+        lb = -(-bound_b.bit_length() // w)
+        cap_a = bound_a if la == 1 else 1 << w
+        cap_b = bound_b if lb == 1 else 1 << w
+        if nz * min(la, lb) * cap_a * cap_b < _INT64_SAFE:
+            break
+    limbs_a, limbs_b = _split(a, w, la), _split(b, w, lb)
+    out = np.zeros((n + 1, la + lb - 1), dtype=np.int64)
+    for p in range(la):
+        col = limbs_a[:, p]
+        _strided(out[:, p : p + lb], col, limbs_b, ja[col[ja] != 0], t, s)
+    return _join(out, w)
+
+
+def _split(arr: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """count int64 limbs of radix 2^bits per value, limb k in column k.
+
+    Every limb but the top one is in [0, 2^bits); the arithmetic shift
+    floors, so the top one carries the sign, and it is at most 2^bits in
+    absolute value when every value is below 2^(bits * count).
+    """
+    out = np.empty((len(arr), count), dtype=np.int64)
+    mask = (1 << bits) - 1
+    for k in range(count - 1):
+        out[:, k] = (arr >> (bits * k)) & mask
+    out[:, -1] = arr >> (bits * (count - 1))
+    return out
+
+
+def _join(limbs: np.ndarray, bits: int) -> np.ndarray:
+    """The values sum over k of limbs[:, k] * 2^(k * bits).
+
+    One column is returned as is; more are joined as Python ints.  Any
+    int64 column values are exact, not only those _split or _carry leave.
+    """
+    if limbs.shape[1] == 1:
+        return limbs[:, 0]
+    out = limbs[:, -1].astype(object)
+    for k in range(limbs.shape[1] - 2, -1, -1):
+        out *= 1 << bits
+        out += limbs[:, k]
+    return out
 
 
 def _outer(a, b, ja, jb, t, s, n) -> np.ndarray:
@@ -327,7 +395,9 @@ def prod_ap(factors, trunc: int) -> QSeries:
 
     Each factor is a tuple (a, b, sign, e) with a >= 1, b >= 1 (an
     exponent of zero at j = 0 is rejected), sign in {+1, -1} and e a
-    nonzero integer; negative e divides instead of multiplying.
+    nonzero integer; negative e divides instead of multiplying.  Factors
+    that name the same binomial 1 + sign*q^m are expanded there once, at
+    their summed exponent; where it is zero nothing is done.
     """
     return QSeries(trunc, _expand_ap(factors, trunc))
 
@@ -335,28 +405,37 @@ def prod_ap(factors, trunc: int) -> QSeries:
 def prod_ap_bytes(factors, trunc: int) -> int:
     """A bound on the bytes prod_ap(factors, trunc) holds at once.
 
-    Every array _expand_ap forms is a partial product of the factors,
-    or, inside a division by 1 + sign*q^m, such a product times
-    (1 - sign*q^m)(1 + q^2m)(1 + q^4m)...  Put (1 + q^m)^e in place of
-    each term (1 + sign*q^m)^e with e > 0, and 1 / (1 - q^m)^-e in place
-    of one with e < 0.  The result M has nonnegative coefficients that
-    bound the absolute values of every such array's, since (1 + x)(1 +
-    x^2)...(1 + x^(2^k)) is a truncation of 1 / (1 - x).  So each
-    coefficient up to trunc is at most M(x) / x^trunc for 0 < x = e^-u
-    < 1.  log M(x) is at most the sum over factors (a, b, _, e) of
-    e * (log(1 + x^b) + pi^2 / (12 a u)) for e > 0, and of
-    -e * (-log(1 - x^b) + pi^2 / (6 a u)) for e < 0: the first term of
-    the sum over j, plus an integral for the rest.  u = sqrt(C / trunc)
-    balances the C / u part against trunc * u.  A coefficient below
-    2^bits takes L limbs, the top one below 2^31.  The steps hold the
-    (trunc + 1, L) limbs and one equal shift-add temporary.  Past one
-    limb, the rebuild holds per coefficient the limbs, an int of 32 L
+    _expand_ap expands each binomial 1 + sign*q^m once, at its net
+    exponent.  Every array it forms is a partial product of these
+    merged powers, or, inside a division by 1 + sign*q^m, such a product
+    times (1 - sign*q^m)(1 + q^2m)(1 + q^4m)...  Put (1 + q^m)^e in place
+    of each factor term (1 + sign*q^m)^e with e > 0, and 1 / (1 - q^m)^-e
+    in place of one with e < 0, and call the product M.  At one binomial
+    let P and N be the sums of the positive and of the negated negative
+    exponents, so its net exponent is P - N and its terms in M give
+    (1 + x^m)^P / (1 - x^m)^N.  That series has nonnegative coefficients
+    and dominates both (1 + x^m)^(P - N) when P > N and 1 / (1 - x^m)^(N
+    - P) when N > P, since (1 + x)(1 + x^2)...(1 + x^(2^k)) is a
+    truncation of 1 / (1 - x).  So M bounds the absolute values of every
+    array's coefficients, and each coefficient up to trunc is at most
+    M(x) / x^trunc for 0 < x = e^-u < 1.  log M(x) is at most the sum
+    over factors (a, b, _, e) of e * (log(1 + x^b) + pi^2 / (12 a u)) for
+    e > 0, and of -e * (-log(1 - x^b) + pi^2 / (6 a u)) for e < 0: the
+    first term of the sum over j, plus an integral for the rest.
+    u = sqrt(C / trunc) balances the C / u part against trunc * u.  A
+    coefficient below 2^bits takes L limbs, the top one below 2^31.  Per
+    coefficient, the steps hold the limbs and one equal shift-add
+    temporary (16 L bytes), the (2, trunc + 1) int64 net-exponent table
+    (16 bytes) and at most one entry of a run of it as a list (a pointer
+    and an int below 2^63: at most 56 bytes).  Past one limb, the
+    rebuild, after the table is freed, holds the limbs, an int of 32 L
     bits with its pointer (at most 40 + 8 L bytes) and one limb column
-    cast to ints (48 bytes).
+    cast to ints (48 bytes): 16 L + 88 bytes, more than the steps hold,
+    so that is the count with or without a rebuild.
 
     The majorant cannot see the cancellation in a product of
     (1 - q^m) factors, so its bits grow as sqrt(trunc): E(2)^5 / (E(4)^2
-    E(1)^2) takes 4 limbs at order 4000, and this bound counts 15.
+    E(1)^2) takes 3 limbs at order 4000, and this bound counts 15.
     """
     rows = trunc + 1
     if not factors:
@@ -372,19 +451,24 @@ def prod_ap_bytes(factors, trunc: int) -> int:
     )
     bits = ceil(log_max / log(2)) + 1
     limbs = 1 + max(0, -(-(bits - 30) // _LIMB_BITS))
-    return rows * (16 * limbs if limbs == 1 else 16 * limbs + 88)
+    return rows * (16 * limbs + 88)
 
 
 def _expand_ap(factors, trunc: int) -> np.ndarray:
     """The coefficient array of prod_ap: int64, or Python ints past one limb.
 
-    The product runs on an int64 array of shape (trunc + 1, L), row i
-    holding the radix-2^_LIMB_BITS limbs of coefficient i, and every
-    step acts on all limbs at once.  Multiplying by 1 + sign*q^m adds a
-    shifted copy, so it at most doubles the max-abs of any limb; dividing
-    runs partial sums of at most ceil((trunc + 1) / m) terms.  A running
-    bound tracks this, and when it would reach _INT64_SAFE the exact
-    max-abs is taken from the array; if that fails too, _carry brings
+    Each distinct binomial 1 + sign*q^m is expanded once, at its net
+    exponent: the sum of the exponents the factors give it (see
+    _net_exponents).  The product runs on an int64 array of shape
+    (trunc + 1, L), row i holding the radix-2^_LIMB_BITS limbs of
+    coefficient i, and every step acts on all limbs at once.
+    Multiplying by 1 + sign*q^m adds a shifted copy, so it at most
+    doubles the max-abs of any limb; dividing runs partial sums of at
+    most ceil((trunc + 1) / m) terms.  A running bound tracks this.
+    While there is one limb, a bound that would reach _INT64_SAFE is
+    first replaced by the exact max-abs of the array; past one limb the
+    low limbs double with every shift-add, so a scan would not certify
+    the step, and the bound goes straight to the carry.  _carry brings
     every limb below 2^_LIMB_BITS, which certifies any step of an order
     below _INT64_SAFE >> _LIMB_BITS.
     """
@@ -395,6 +479,34 @@ def _expand_ap(factors, trunc: int) -> np.ndarray:
     co = np.zeros((trunc + 1, 1), dtype=np.int64)
     co[0] = 1
     bound = 1
+    for m, sign, e in _net_exponents(factors, trunc):
+        grow = 2 if e > 0 else -(-(trunc + 1) // m)
+        for _ in range(abs(e)):
+            if bound * grow >= _INT64_SAFE and co.shape[1] == 1:
+                bound = _max_abs(co)
+            if bound * grow >= _INT64_SAFE:
+                co = _carry(co)
+                bound = (1 << _LIMB_BITS) - 1
+            bound *= grow
+            if e < 0:
+                _divide_binomial(co, m, sign)
+            elif sign == 1:
+                co[m:] += co[:-m]  # numpy buffers the overlapping read
+            else:
+                co[m:] -= co[:-m]
+    return _join(co, _LIMB_BITS)
+
+
+def _net_exponents(factors, trunc: int):
+    """Yield (m, sign, e) for each binomial 1 + sign*q^m, m <= trunc,
+    whose exponents over the factors sum to e != 0.
+
+    The binomials come in the order the factors first name them.  The
+    sums live in one int64 table indexed by (sign, m); a factor's run of
+    it is zeroed once read, and the table is freed when the generator
+    ends.
+    """
+    net = np.zeros((2, trunc + 1), dtype=np.int64)
     for a, b, sign, e in factors:
         if a < 1:
             raise ValueError("factor step must be >= 1")
@@ -407,28 +519,14 @@ def _expand_ap(factors, trunc: int) -> np.ndarray:
             raise ValueError("factor sign must be +1 or -1")
         if e == 0:
             raise ValueError("factor exponent must be nonzero")
-        for m in range(b, trunc + 1, a):
-            grow = 2 if e > 0 else -(-(trunc + 1) // m)
-            for _ in range(abs(e)):
-                if bound * grow >= _INT64_SAFE:
-                    bound = _max_abs(co)
-                if bound * grow >= _INT64_SAFE:
-                    co = _carry(co)
-                    bound = (1 << _LIMB_BITS) - 1
-                bound *= grow
-                if e < 0:
-                    _divide_binomial(co, m, sign)
-                elif sign == 1:
-                    co[m:] += co[:-m]  # numpy buffers the overlapping read
-                else:
-                    co[m:] -= co[:-m]
-    if co.shape[1] == 1:
-        return co[:, 0]
-    out = co[:, -1].astype(object)
-    for k in range(co.shape[1] - 2, -1, -1):
-        out *= 1 << _LIMB_BITS
-        out += co[:, k]
-    return out
+        net[(1 - sign) // 2, b::a] += e
+    for a, b, sign, _e in factors:
+        run = net[(1 - sign) // 2, b::a]
+        exponents = run.tolist()
+        run[:] = 0
+        for m, e in zip(range(b, trunc + 1, a), exponents):
+            if e:
+                yield m, sign, e
 
 
 def _carry(co: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_qseries import ref_dilate, series
+from test_qseries import ref_dilate, ref_mul, series
 
 from threesquares import qseries as qs, verify
 from threesquares.lattice import (
@@ -24,6 +24,7 @@ from threesquares.catalog import (
     F,
     IdentitySpec,
     Q,
+    alt,
     catalog,
     eta,
     evaluate,
@@ -388,7 +389,7 @@ def test_run_catalog_drops_its_plan(monkeypatch):
 
 def test_array_bytes_bounds_the_limbs_and_peak_of_an_eta_quotient(monkeypatch):
     # E1.9's E(2)^5 / (E(4)^2 E(1)^2) is small, but its expansion carries
-    # into 4 limbs at order 4000 on the way there.
+    # into 3 limbs at order 4000 on the way there.
     leaf = eta((2, 5), (4, -2), (1, -2))
     limbs = [1]
     carry = qs._carry
@@ -406,10 +407,29 @@ def test_array_bytes_bounds_the_limbs_and_peak_of_an_eta_quotient(monkeypatch):
     finally:
         tracemalloc.stop()
     assert quotient.array.dtype == np.int64
-    assert max(limbs) == 4
+    assert max(limbs) == 3
     bound = array_bytes(leaf, 4000)
     assert 4001 * (16 * max(limbs) + 88) <= bound
     assert peak <= bound, (peak, bound)
+
+
+def test_efinal_wide_product_runs_on_limbs_and_comes_back_as_int64(monkeypatch):
+    # 8 q psi(-q) E(2)^2 (925 nonzeros below 2^8) times the 144-bit
+    # S(7,5)[(-q;q^2)_inf]: no int64 certificate, an int64 result.
+    x = evaluate(mul(Q(1), scale(8, mul(alt(PSI()), eta((2, 2))))), 1000)
+    y = evaluate(sift(7, 5, prodap((2, 1, 1, 1))), 1000)
+    assert y.array.dtype == object
+    nz = int(np.count_nonzero(x.array))
+    assert nz * x.bound * y.bound >= 1 << 62
+    calls = []
+    limbs = qs._conv_limbs
+    monkeypatch.setattr(
+        qs, "_conv_limbs", lambda *args: calls.append(1) or limbs(*args)
+    )
+    product = x * y
+    assert calls == [1]
+    assert product.coeffs == ref_mul(x.coeffs, y.coeffs)
+    assert product.array.dtype == np.int64
 
 
 @pytest.mark.parametrize("order", [1000, 2000, 7005])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from threesquares import qseries as qs
 from threesquares.qseries import QSeries, TruncationMismatch
@@ -449,26 +449,77 @@ def test_exponent_transforms_match_the_tuple_code(a, t, data):
     assert a.alternate().coeffs == ref_alternate(a.coeffs)
 
 
+st_exponent = st.sampled_from((-3, -2, -1, 1, 2, 3))
 st_factor = st.tuples(
-    st.integers(1, 6),
-    st.integers(1, 8),
-    st.sampled_from((1, -1)),
-    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    st.integers(1, 6), st.integers(1, 8), st.sampled_from((1, -1)), st_exponent
+)
+
+
+@st.composite
+def st_shared_runs(draw):
+    # A factor and a sub-progression of it, of either sign and any
+    # exponent: where the signs agree the two merge into one net
+    # exponent, where they differ one m carries both binomials.
+    a, b, sign, e = factor = draw(st_factor)
+    k = draw(st.integers(1, 3))
+    i = draw(st.integers(0, k - 1))
+    run = (a * k, b + a * i, draw(st.sampled_from((1, -1))), draw(st_exponent))
+    return draw(st.permutations([factor, run]))
+
+
+@st.composite
+def st_cancelling(draw):
+    # Factors, and each one split into its two sub-progressions of step
+    # 2a with the opposite exponent: every net exponent is zero.
+    factors = draw(st.lists(st_factor, min_size=1, max_size=2))
+    inverse = [
+        (2 * a, b + a * i, sign, -e) for a, b, sign, e in factors for i in (0, 1)
+    ]
+    return draw(st.permutations(factors + inverse))
+
+
+st_factors = st.one_of(
+    st.lists(st_factor, min_size=1, max_size=4), st_shared_runs(), st_cancelling()
 )
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st_factor, max_size=4), st.integers(0, 60))
+@given(st.one_of(st.just([]), st_factors), st.integers(0, 60))
+@example([(1, 1, -1, 2), (2, 2, -1, 3)], 60)
+@example([(1, 1, -1, 2), (2, 1, -1, -2), (2, 2, -1, -2)], 60)
+@example([(1, 1, 1, 2), (1, 1, -1, -1), (3, 3, 1, -2)], 60)
 def test_prod_ap_matches_the_tuple_code(factors, trunc):
     assert qs.prod_ap(factors, trunc).coeffs == ref_prod_ap(factors, trunc)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st_cancelling(), st.integers(0, 200))
+def test_prod_ap_of_cancelling_exponents_is_one_without_a_step(factors, trunc):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "_divide_binomial", lambda *args: pytest.fail("divided"))
+        assert qs.prod_ap(factors, trunc) == qs.one(trunc)
+
+
+def test_prod_ap_expands_each_binomial_at_its_net_exponent(monkeypatch):
+    # E(2)^5 / (E(4)^2 E(1)^2): 1 - q^m is divided out twice at odd m and
+    # multiplied in 3 times at m = 2 mod 4 and once at m = 0 mod 4, not
+    # stepped 5 + 2 + 2 times.
+    steps = []
+    divide = qs._divide_binomial
+
+    def counting(co, m, sign):
+        steps.append(m)
+        divide(co, m, sign)
+
+    monkeypatch.setattr(qs, "_divide_binomial", counting)
+    factors = [(2, 2, -1, 5), (4, 4, -1, -2), (1, 1, -1, -2)]
+    assert qs.prod_ap(factors, 1000).coeffs == ref_prod_ap(factors, 1000)
+    assert len(steps) == 1000
+    assert steps == [m for m in range(1, 1001, 2) for _ in range(2)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st_factor, min_size=1, max_size=4),
-    st.integers(2, 8),
-    st.integers(0, 1 << 14),
-)
+@given(st_factors, st.integers(2, 8), st.integers(0, 1 << 14))
 def test_prod_ap_exact_whatever_the_limit(factors, bits, spare):
     # Limbs of 2 to 8 bits in a window barely wide enough to certify an
     # order-40 step after a carry: carries, added limbs and negative top
@@ -482,7 +533,7 @@ def test_prod_ap_exact_whatever_the_limit(factors, bits, spare):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.lists(st_factor, min_size=1, max_size=3), st.integers(100, 600))
+@given(st_factors, st.integers(100, 600))
 def test_prod_ap_limbs_match_the_object_path(factors, trunc):
     # At full width the deep products pass 2^62, so the reference's
     # Python ints and the limbs both run.
@@ -587,6 +638,82 @@ def test_conv_certificate_counts_every_term(t, s, n):
     got = qs._conv(x, y, t, s, n)
     assert got.coeffs == ref_sift(ref_mul(x.coeffs, y.coeffs), t, s)
     assert got.bound == 1 << 63
+
+
+# Coefficients of products whose certificate fails: near +-2^100, on
+# limb edges, and with zero limbs (2^64, 2^100 and 0 split into limbs
+# that are mostly zero).
+st_wide = st.one_of(
+    st.integers(-(1 << 100) - 2, -(1 << 100) + 2),
+    st.integers((1 << 100) - 2, (1 << 100) + 2),
+    st.sampled_from((0, 0, 1, -1, 1 << 62, -(1 << 63), 1 << 64, -(1 << 64))),
+    st.integers(-(1 << 70), 1 << 70),
+)
+st_narrow = st.integers(-(1 << 40), 1 << 40)
+
+
+def wide_side(n, coeff, top):
+    # n + 1 coefficients, one of them +-top, so the certificate fails.
+    return st.tuples(
+        st.lists(coeff, min_size=n + 1, max_size=n + 1),
+        st.integers(0, n),
+        st.sampled_from((top, -top)),
+    ).map(lambda d: series(d[0][: d[1]] + [d[2]] + d[0][d[1] + 1 :]))
+
+
+def wide_pair(n):
+    obj = wide_side(n, st_wide, 1 << 100)
+    i64 = wide_side(n, st_narrow, 1 << 40)
+    sides = ((obj, i64), (i64, obj), (obj, obj), (i64, i64))
+    return st.one_of(*(st.tuples(x, y) for x, y in sides))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30).flatmap(wide_pair), st.integers(1, 5), st.data())
+def test_uncertified_conv_runs_on_limbs_and_matches_the_tuple_code(pair, t, data):
+    x, y = pair
+    s = data.draw(st.integers(0, min(t - 1, x.trunc)))
+    n = (x.trunc - s) // t
+    nz = min(int(np.count_nonzero(x.array)), int(np.count_nonzero(y.array)))
+    assert nz * x.bound * y.bound >= LIMIT
+    want = ref_sift(ref_mul(x.coeffs, y.coeffs), t, s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "_outer", lambda *args: pytest.fail("outer"))
+        got = qs._conv(x, y, t, s, n)
+    assert got.coeffs == want
+    assert got.bound == max(abs(c) for c in want)
+    assert got.array.dtype == (np.int64 if got.bound < LIMIT else object)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(62, 400),
+    st.integers(62, 400),
+    st.sampled_from((-1, 0, 1)),
+    st.sampled_from((1, -1)),
+    st.integers(0, 24),
+)
+def test_limb_product_of_full_limbs_stays_exact(k, h, d, sign, n):
+    # 2^k - 1 and -2^k - 1 fill every limb, and n + 1 equal terms meet
+    # in coefficient n, so the column sums come within a few bits of
+    # their certified bound: a certificate that forgot how many limb
+    # pairs share a column would wrap.
+    x = series([sign * ((1 << k) + d)] * (n + 1))
+    y = series([(1 << h) - 1] * (n + 1))
+    assert (x * y).coeffs == ref_mul(x.coeffs, y.coeffs)
+    assert (x * x).coeffs == ref_mul(x.coeffs, x.coeffs)
+
+
+@pytest.mark.parametrize("bits,count", [(3, 4), (29, 3), (40, 4)])
+def test_limbs_split_and_join_exactly(bits, count):
+    top = 1 << (bits * count - 1)
+    values = [0, 1, -1, top - 1, -top, 1 << bits, -(1 << bits), (1 << bits) - 1]
+    for arr in (np.array(values, dtype=object), np.array(values[:3], dtype=np.int64)):
+        limbs = qs._split(arr, bits, count)
+        assert limbs.dtype == np.int64 and limbs.shape == (len(arr), count)
+        assert (limbs[:, :-1] >= 0).all() and (limbs[:, :-1] < 1 << bits).all()
+        assert qs._max_abs(limbs[:, -1]) <= 1 << bits
+        assert qs._join(limbs, bits).tolist() == arr.tolist()
 
 
 @pytest.mark.parametrize("k", [2, 5, 9])
