@@ -237,7 +237,9 @@ def _cmd_genus(args) -> int:
         raise UsageError("genus takes exactly one of --p and --disc")
     if args.p is not None:
         _odd_prime(args.p)
-        # The pairing pulls tg2's theta series back from 4 * max_n.
+        # The pairing pulls tg2's theta series back from 4 * max_n.  The
+        # cap is on the points those thetas walk, their work, though each
+        # holds only a batch of them at a time.
         _require_cap("--max-n", args.max_n, point_array_bytes(3, 4 * args.max_n))
         genus1, genus2 = tg1(args.p), tg2(args.p)
         pairing = find_h_between(genus2, genus1, args.max_n)
@@ -288,6 +290,7 @@ def _cmd_prop54(args) -> int:
         except ValueError:
             raise UsageError(f"malformed prime {part!r}")
         primes.append(_odd_prime(p))
+    # The s table, and the points each genus member's theta walks.
     s_bytes = 4 * (max(primes) ** 2 * args.max_n + 1)
     _require_cap("--max-n", args.max_n, max(s_bytes, point_array_bytes(3, args.max_n)))
     rows = []

@@ -6,13 +6,16 @@ complete.  Ternary forms are written a*x^2 + b*y^2 + c*z^2 + d*yz + e*zx
 + f*xy and binary forms a*m^2 + b*mn + c*n^2, optionally with a linear
 part (u, v) and a constant shift added to the exponent.
 
-Points come from one row generator per arity (_ternary_rows; the n-loop
-of theta_series_binary) and one expansion of rows into int64 arrays,
-_spread.  short_vectors and theta_series_binary each prove their int64
-bound before expanding, or raise ValueError.  A constrained ternary
-theta walks only the rows (y, z) whose residues some allowed tuple
-has, and masks x on those; the binary theta builds every row, since
-it checks each point for a negative affine exponent.
+Points come from one run generator per arity (_runs, over the rows of
+_ternary_rows; the n-loop of theta_series_binary) and one expansion of
+runs into int64 arrays, _spread.  Every caller proves its int64 bound
+before expanding, or raises ValueError.  short_vectors expands all its
+runs into one array.  The ternary theta streams them instead: it
+expands and counts about _CHUNK points at a time and never holds them
+all.  A constrained ternary theta walks only the rows (y, z) whose
+residues some allowed tuple has, and masks x on those; the binary
+theta builds every row, since it checks each point for a negative
+affine exponent.
 
 s_table returns a read-only prefix view of the largest s table built so
 far.  That table is held for the whole process in the module dict
@@ -189,20 +192,65 @@ def _ternary_rows(form: TernaryForm, bound: int, admit=None):
                 step += bmm
 
 
+def _runs(form: TernaryForm, bound: int, admit=None):
+    """Yield runs (xlo, count, b1, c1, y, z) covering every triple v != 0
+    with form(v) <= bound, one per row of _ternary_rows with x ascending.
+
+    The run is x = xlo .. xlo + count - 1 at value a*x^2 + b1*x + c1.  The
+    row through the origin is split in two runs, xlo..-1 and 1..-xlo.
+    """
+    a = form.a
+    for y, z, b1, c1 in _ternary_rows(form, bound, admit):
+        xlo, xhi = _x_range(a, b1, c1, bound)
+        if y == z == 0:
+            yield xlo, -xlo, b1, c1, y, z
+            xlo = 1
+        if xlo <= xhi:
+            yield xlo, xhi - xlo + 1, b1, c1, y, z
+
+
+def _certify_ternary(form: TernaryForm, bound: int) -> None:
+    """Raise ValueError unless every run of _runs(form, bound) expands in
+    int64.
+
+    Every coordinate obeys x_i^2 <= bound * adj(G)_ii / disc (adj of the
+    doubled Gram G), so bounding each term of a*x^2 + b1*x + c1 by those
+    maxima bounds every intermediate of _spread.
+    """
+    a, b, c, d, e, f = form.as_tuple()
+    disc = form.disc()
+    n = max(bound, 0)
+    xm, ym, zm = (
+        isqrt(n * adj // disc) + 1
+        for adj in (4 * b * c - d * d, 4 * a * c - e * e, 4 * a * b - f * f)
+    )
+    worst = (
+        a * xm * xm + (abs(f) * ym + abs(e) * zm) * xm
+        + b * ym * ym + c * zm * zm + abs(d) * ym * zm
+    )
+    if worst >= _INT64_SAFE:
+        raise ValueError(
+            f"short vectors up to {bound} of {form} overflow int64 "
+            f"(worst intermediate {worst} >= 2^62)"
+        )
+
+
 def _spread(a: int, rows: list, ncoord: int) -> np.ndarray:
-    """Expand runs (xlo, count, b1, c1, *coords) into rows (x, *coords, value).
+    """Expand runs (xlo, count, b1, c1, *coords) into rows
+    (x, *coords[:ncoord], value); coordinates past ncoord are dropped.
 
     A run is x = xlo .. xlo + count - 1 with value a*x^2 + b1*x + c1; rows
     come out run by run, x ascending.  The caller certifies int64.
     """
-    runs = np.array(rows, dtype=np.int64).reshape(len(rows), ncoord + 4)
+    width = len(rows[0]) if rows else 4 + ncoord
+    runs = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     xlo, count, b1, c1, *coords = runs.T
     starts = np.cumsum(count) - count
     out = np.empty((int(count.sum()), ncoord + 2), dtype=np.int64)
     x = out[:, 0]
     x[:] = np.repeat(xlo - starts, count)
     x += np.arange(len(out), dtype=np.int64)
-    for i, col in enumerate(coords, 1):
+    for i, col in enumerate(coords[:ncoord], 1):
         out[:, i] = np.repeat(col, count)
     val = out[:, -1]
     np.multiply(x, a, out=val)
@@ -210,6 +258,19 @@ def _spread(a: int, rows: list, ncoord: int) -> np.ndarray:
     val *= x
     val += np.repeat(c1, count)
     return out
+
+
+def short_vectors(form: TernaryForm, bound: int, admit=None) -> np.ndarray:
+    """All integer triples v != 0 with form(v) <= bound, with their values.
+
+    One (n, 4) int64 array of rows (x, y, z, value): the runs of _runs,
+    expanded by one _spread in their order.  An (m, m) boolean table
+    admit keeps only the rows (y, z) with admit[y % m, z % m] (see
+    _ternary_rows).  The int64 certificate (_certify_ternary) is checked
+    before any row is walked; a larger bound raises ValueError.
+    """
+    _certify_ternary(form, bound)
+    return _spread(form.a, list(_runs(form, bound, admit)), 2)
 
 
 def _residue_table(constraint, arity: int):
@@ -232,12 +293,29 @@ def _histogram(trunc: int, points: np.ndarray, table) -> np.ndarray:
     A residue table (see _residue_table) keeps the rows whose
     coordinates' residues it allows.
     """
-    if trunc < 0:
-        raise ValueError("truncation order must be >= 0")
     values = points[:, -1]
     if table is not None:
         values = values[table[tuple((points[:, :-1] % len(table)).T)]]
     return np.bincount(values, minlength=trunc + 1)
+
+
+# Points a streamed theta expands per batch.  An unconstrained batch,
+# its (x, value) rows and _spread's temporaries, peaks near 1 MB, inside
+# a 2 MB L2 cache; 2^14 and 2^16 were no faster on a 2-vCPU Xeon.
+_CHUNK = 1 << 15
+
+
+def _batches(runs):
+    """Group runs into lists of at least _CHUNK points, the last excepted."""
+    batch, size = [], 0
+    for run in runs:
+        batch.append(run)
+        size += run[1]
+        if size >= _CHUNK:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
 
 
 def theta_series_ternary(
@@ -245,15 +323,26 @@ def theta_series_ternary(
 ) -> QSeries:
     """Theta series: coefficient of q^n counts triples with form value n.
 
-    The nonzero triples are the rows of short_vectors(form, trunc).  A
-    constraint's arity is checked first.  Its points are then built
-    only on the rows (y, z) whose residues some allowed tuple has, and
-    the full constraint keeps the points whose x it allows too.  The
-    origin is counted by the same constraint rule.
+    The nonzero triples are those of short_vectors(form, trunc), walked
+    by the same _runs, but no array of them is built: batches of about
+    _CHUNK points are expanded and counted in turn, so memory is set by
+    _CHUNK and trunc, not by the number of points.
+    The constraint's arity, trunc >= 0 and the int64 certificate are
+    checked in that order, before any run is walked.  A constraint's
+    points are built only on the rows (y, z) whose residues some allowed
+    tuple has, and the full constraint keeps the points whose x it
+    allows too; without one, a point is only (x, value).  The origin is
+    counted by the same constraint rule.
     """
     table = _residue_table(constraint, 3)
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
+    _certify_ternary(form, trunc)
     admit = None if table is None else table.any(axis=0)
-    counts = _histogram(trunc, short_vectors(form, trunc, admit), table)
+    ncoord = 0 if table is None else 2
+    counts = np.zeros(trunc + 1, dtype=np.int64)
+    for batch in _batches(_runs(form, trunc, admit)):
+        counts += _histogram(trunc, _spread(form.a, batch, ncoord), table)
     counts[0] += 1 if table is None else int(table[0, 0, 0])
     return QSeries(trunc, counts)
 
@@ -296,6 +385,8 @@ def theta_series_binary(
         m, n, val = points[negative[0]].tolist()
         raise ValueError(f"affine exponent {val} is negative at (m,n)=({m},{n})")
     table = _residue_table(constraint, 2)
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
     return QSeries(trunc, _histogram(trunc, points, table))
 
 
@@ -407,42 +498,3 @@ def s_table(n_max: int) -> np.ndarray:
     s.flags.writeable = False
     _S_CACHE["s"] = s
     return s
-
-
-def short_vectors(form: TernaryForm, bound: int, admit=None) -> np.ndarray:
-    """All integer triples v != 0 with form(v) <= bound, with their values.
-
-    One (n, 4) int64 array of rows (x, y, z, value), row by row in the
-    order of _ternary_rows with x ascending (one _spread run per row).
-    An (m, m) boolean table admit keeps only the rows (y, z) with
-    admit[y % m, z % m] (see _ternary_rows).  Every coordinate obeys
-    x_i^2 <= bound * adj(G)_ii / disc (adj of the doubled Gram G), so
-    bounding each term of a*x^2 + b1*x + c1 by those maxima certifies
-    int64 before any row is walked; a larger bound raises ValueError.
-    """
-    a, b, c, d, e, f = form.as_tuple()
-    disc = form.disc()
-    n = max(bound, 0)
-    xm, ym, zm = (
-        isqrt(n * adj // disc) + 1
-        for adj in (4 * b * c - d * d, 4 * a * c - e * e, 4 * a * b - f * f)
-    )
-    worst = (
-        a * xm * xm + (abs(f) * ym + abs(e) * zm) * xm
-        + b * ym * ym + c * zm * zm + abs(d) * ym * zm
-    )
-    if worst >= _INT64_SAFE:
-        raise ValueError(
-            f"short vectors up to {bound} of {form} overflow int64 "
-            f"(worst intermediate {worst} >= 2^62)"
-        )
-    rows = []
-    for y, z, b1, c1 in _ternary_rows(form, bound, admit):
-        xlo, xhi = _x_range(a, b1, c1, bound)
-        if y == z == 0:
-            # The row through the origin is xlo..-xlo; leave out x = 0.
-            rows.append((xlo, -xlo, b1, c1, y, z))
-            xlo = 1
-        if xlo <= xhi:
-            rows.append((xlo, xhi - xlo + 1, b1, c1, y, z))
-    return _spread(a, rows, 2)

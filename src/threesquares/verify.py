@@ -110,6 +110,12 @@ def array_bytes(expr: tuple, order: int) -> int:
 
 
 def _node_bytes(expr: tuple, order: int) -> int:
+    """A bound on the bytes one node costs at order.
+
+    A ternary theta holds only a batch of its points at a time, but it
+    is charged point_array_bytes(3, order), the bound on the points it
+    walks: the cap keeps that work, as well as every array, in bounds.
+    """
     op = expr[0]
     if op == "theta3":
         return point_array_bytes(3, order)

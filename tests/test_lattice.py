@@ -7,7 +7,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from threesquares import lattice
 from threesquares import qseries as qs
@@ -20,6 +20,7 @@ from threesquares.lattice import (
     rep_count_ternary,
     s_of_n,
     s_table,
+    short_vectors,
     theta_series_binary,
     theta_series_ternary,
 )
@@ -165,6 +166,51 @@ def test_ternary_theta_matches_the_point_loop(coeffs, trunc, constraint):
     )
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.tuples(*[st.integers(1, 9)] * 3, *[st.integers(-6, 6)] * 3),
+    trunc=st.integers(0, 120),
+    constraint=constraints(3),
+)
+# trunc 0 is one empty run; at 1 the origin's row is the two runs -1 and 1.
+@example(coeffs=(1, 1, 1, 0, 0, 0), trunc=0, constraint=None)
+@example(coeffs=(1, 1, 1, 0, 0, 0), trunc=1, constraint=None)
+@example(coeffs=(1, 1, 1, 0, 0, 0), trunc=1, constraint=X(0)[2])
+def test_streamed_theta_matches_the_point_loop_at_every_batch_edge(
+    chunk, coeffs, trunc, constraint
+):
+    a, b, c, d, e, f = coeffs
+    assume(4 * a * b > f * f)
+    assume(4 * a * b * c + d * e * f > a * d * d + b * e * e + c * f * f)
+    form = TernaryForm(*coeffs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_CHUNK", chunk)
+        same_outcome(
+            lambda: theta_series_ternary(form, trunc, constraint),
+            lambda: ref_theta_ternary(form, trunc, constraint),
+        )
+
+
+def test_a_streamed_theta_holds_a_batch_not_its_points():
+    # The parent of this code built every (x, y, z, value) row: 21.6 MB
+    # at 4002 and eight times that at 16000.  A batch is _CHUNK points
+    # and the rest of one run, at most 64 bytes a point with _spread's
+    # temporaries, beside the counts and one batch's bincount.
+    form = TernaryForm(1, 1, 3, 0, 0, 1)
+    for trunc in (4002, 16000):
+        tracemalloc.start()
+        try:
+            theta = theta_series_ternary(form, trunc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # short_vectors(form, trunc).nbytes: 32 bytes per nonzero point.
+        points = 32 * (int(theta.array.sum()) - 1)
+        assert peak < 64 * lattice._CHUNK + 32 * (trunc + 1), (trunc, peak)
+        assert peak < points // 4, (trunc, peak, points)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     abc=st.tuples(st.integers(1, 8), st.integers(-8, 8), st.integers(1, 8)),
@@ -208,6 +254,35 @@ def test_binary_int64_certificate_fails_before_any_array(monkeypatch):
         for bform, trunc in cases:
             with pytest.raises(ValueError, match="int64"):
                 theta_series_binary(bform, trunc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_ternary_checks_fail_before_any_run_or_array(monkeypatch):
+    # Arity, then trunc >= 0, then the int64 certificate: each raises
+    # before a run is walked or a count array is allocated.
+    def no_walk(*args):
+        raise AssertionError("runs walked before the checks")
+
+    monkeypatch.setattr(lattice, "_runs", no_walk)
+    monkeypatch.setattr(lattice, "_spread", no_walk)
+    huge = TernaryForm(1, 1, 1 << 62, 0, 0, 0)  # small values, huge terms
+    pairs = Constraint(4, frozenset({(0, 1)}))
+    cases = [
+        (lambda: theta_series_ternary(huge, -1, pairs), "constraint arity"),
+        (lambda: theta_series_ternary(huge, -1), "truncation order must be >= 0"),
+        (lambda: theta_series_ternary(huge, 10, X(1)[2]), "int64"),
+        (lambda: theta_series_ternary(identity_form(), 1 << 62), "int64"),
+        (lambda: short_vectors(huge, 10), "int64"),
+        (lambda: short_vectors(identity_form(), 1 << 62), "int64"),
+    ]
+    tracemalloc.start()
+    try:
+        for call, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -383,6 +458,48 @@ def test_four_routes_to_s_agree(n_max):
         assert int(table[n]) == theta[n] == cube[n] == s_of_n(n), n
 
 
+def hurwitz6(n_max):
+    """6*H(N) for N <= n_max, H the Hurwitz class number (H(0) left 0).
+
+    H(N) counts the reduced forms (a, b, c) of b^2 - 4ac = -N, those with
+    |b| <= a <= c and b >= 0 when |b| = a or a = c; a(x^2 + y^2) weighs
+    1/2 and a(x^2 + xy + y^2) weighs 1/3.  Such a form has N >= 3a^2.
+    """
+    h6 = np.zeros(n_max + 1, dtype=np.int64)
+    for a in range(1, isqrt(n_max // 3) + 1):
+        for b in range(1 - a, a + 1):
+            n = 4 * a * np.arange(a, (n_max + b * b) // (4 * a) + 1) - b * b
+            h6[n] += 6
+            if len(n):
+                # c = a: drop b < 0; weigh (a, 0, a) 3 and (a, a, a) 2.
+                h6[n[0]] -= 6 if b < 0 else 3 if b == 0 else 4 if b == a else 0
+    return h6
+
+
+def test_gauss_class_number_route_to_s(monkeypatch):
+    # Gauss (Disquisitiones, art. 291): s(n) = 12 H(4n) - 24 H(n) for
+    # n >= 1, a count of binary forms that shares no lattice code.
+    h6 = hurwitz6(80000)
+    assert h6[:24].tolist() == [
+        0, 0, 0, 2, 3, 0, 0, 6, 6, 0, 0, 6, 8, 0, 0, 12, 9, 0, 0, 6, 12, 0, 0, 18,
+    ]
+    n_max = 20000
+    n = np.arange(1, n_max + 1)
+    gauss = 2 * h6[4 * n] - 4 * h6[n]
+    assert np.array_equal(gauss, s_table(n_max)[1:])
+    batches = []
+    spread = lattice._spread
+
+    def counting(*args):
+        batches.append(None)
+        return spread(*args)
+
+    monkeypatch.setattr(lattice, "_spread", counting)
+    theta = theta_series_ternary(identity_form(), n_max)
+    assert np.array_equal(gauss, theta.array[1:])
+    assert len(batches) > 300  # 11.8 M points
+
+
 def test_theta_ternary_equals_phi_cubed():
     assert theta_series_ternary(identity_form(), 500) == qs.theta_f(1, 1, 500).pow(3)
 
@@ -450,7 +567,8 @@ def test_constraint_arity_mismatch(monkeypatch):
 
 def test_a_constrained_theta_builds_only_its_admitted_rows(monkeypatch):
     # X(1) admits y = 1 and z = 3 mod 4 with x free: a sixteenth of the
-    # rows of T.  Were every row built and masked, this would fail.
+    # rows of T.  Were every row built and masked, in any number of
+    # batches, this would fail.
     form = TernaryForm(*T_FORM)
     points = lattice.short_vectors(form, 4001)
     built = []
@@ -463,7 +581,7 @@ def test_a_constrained_theta_builds_only_its_admitted_rows(monkeypatch):
 
     monkeypatch.setattr(lattice, "_spread", counting)
     theta = theta_series_ternary(form, 4001, X(1)[2])
-    assert len(built) == 1 and 0 < 8 * built[0] <= len(points)
+    assert 0 < 8 * sum(built) <= len(points)
     keep = (points[:, 1] % 4 == 1) & (points[:, 2] % 4 == 3)
     assert theta.coeffs == tuple(np.bincount(points[keep, 3], minlength=4002))
 
