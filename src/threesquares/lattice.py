@@ -19,7 +19,9 @@ affine exponent.
 
 s_table returns a read-only prefix view of the largest s table built so
 far.  That table is held for the whole process in the module dict
-_S_CACHE, and a larger request grows it.
+_S_CACHE, and a larger request grows it.  Its z-sum runs on uint16 r2
+values, summed in uint16 partial sums whose group size the exact max
+of r2 certifies.
 """
 
 from __future__ import annotations
@@ -434,13 +436,24 @@ def point_array_bytes(arity: int, num: int, den: int = 1) -> int:
 # (x, y) leaves at most two z, so s(n) <= 2*(2*isqrt(n) + 1)^2.  That is
 # below 2^31 exactly while isqrt(n) <= 16383, i.e. n < 16384^2.
 _S_MAX = 16384 * 16384 - 1
-# Output entries summed per block: 512 KB of int32, which stays in L2.
-_S_BLOCK = 1 << 17
+# Exclusive limit of the uint16 r2 and partial sums of the z-sum.  Each a
+# with |a| <= isqrt(n) leaves at most two b, so for n <= _S_MAX
+# r2(n) <= 2*(2*isqrt(n) + 1) <= 65534 < _S_ACC, and every z-group of
+# _z_group(r2) >= 1 values fits.
+_S_ACC = 1 << 16
+# Output entries summed per block: 1 MB of int32 plus a 512 KB uint16
+# accumulator, which stay in L2.
+_S_BLOCK = 1 << 18
 
 
 # The largest s table built so far, under the one key "s".  Every table
 # is a prefix of every larger one; clear() gives the memory back.
 _S_CACHE: dict[str, np.ndarray] = {}
+
+
+def _z_group(r2: np.ndarray) -> int:
+    """z values per uint16 partial sum, so that group*max(r2) < _S_ACC."""
+    return _S_ACC // (int(r2.max()) + 1)
 
 
 def s_table(n_max: int) -> np.ndarray:
@@ -451,11 +464,13 @@ def s_table(n_max: int) -> np.ndarray:
     entries into a new array, drops the old one, and computes only the
     new entries: r2 comes from enumerating every (a, b) with
     a^2 + b^2 <= n_max, and the z-sum is taken one output block of
-    _S_BLOCK entries at a time, in place in that block's slice of the
-    result, so the partial sums stay in cache while each z adds its
-    shifted slice of r2.  All counts fit int32 because
-    s(n) <= 2*(2*isqrt(n) + 1)^2 < 2^31 for n_max <= _S_MAX; a larger
-    n_max raises ValueError before anything is allocated.
+    _S_BLOCK entries at a time, so the partial sums stay in cache while
+    each z adds its shifted slice of r2.  r2 is uint16, and each block
+    sums _z_group(r2) slices at a time in a uint16 accumulator and
+    flushes it into the block's int32 slice, which halves the bytes each
+    add moves.  All counts fit int32 because s(n) <= 2*(2*isqrt(n) + 1)^2
+    < 2^31 for n_max <= _S_MAX; a larger n_max raises ValueError before
+    anything is allocated.
     """
     if n_max > _S_MAX:
         raise ValueError(
@@ -470,29 +485,38 @@ def s_table(n_max: int) -> np.ndarray:
         return old[: n_max + 1]
     s = np.zeros(n_max + 1, dtype=np.int32)
     s[:done] = old
-    # The old table goes before r2 comes, so the peak is one s and one r2.
+    # The old table goes before r2 comes, so the peak is one s, one r2
+    # and one accumulator.
     _S_CACHE.clear()
     del old
-    r2 = np.zeros(n_max + 1, dtype=np.int32)
     top = isqrt(n_max)
+    r2 = np.zeros(n_max + 1, dtype=np.uint16)
     squares = np.arange(top + 1, dtype=np.int64) ** 2
     for a in range(top + 1):
         rem = n_max - a * a
         k = isqrt(rem)
         idx = a * a + squares[: k + 1]
-        w = np.full(k + 1, 2, dtype=np.int32)
+        w = np.full(k + 1, 2, dtype=np.uint16)
         w[0] = 1
         if a > 0:
             w *= 2
         r2[idx] += w
+    group = _z_group(r2)
+    acc = np.empty(min(_S_BLOCK, n_max + 1 - done), dtype=np.uint16)
     for lo in range(done, n_max + 1, _S_BLOCK):
         hi = min(lo + _S_BLOCK, n_max + 1)
         block = s[lo:hi]
-        for z in range(1, isqrt(hi - 1) + 1):
-            m = z * z
-            start = max(lo, m)
-            tail = block[start - lo:]
-            tail += r2[start - m:hi - m]
+        zmax = isqrt(hi - 1)
+        for first in range(1, zmax + 1, group):
+            # Sum up to group shifted slices in acc, then flush into s.
+            cut = max(lo, first * first) - lo
+            part = acc[cut:hi - lo]
+            part[:] = 0
+            for z in range(first, min(first + group, zmax + 1)):
+                m = z * z
+                start = max(lo, m)
+                acc[start - lo:hi - lo] += r2[start - m:hi - m]
+            block[cut:] += part
         block *= 2
         block += r2[lo:hi]
     s.flags.writeable = False

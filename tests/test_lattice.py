@@ -340,28 +340,72 @@ def assert_same_table(n_max):
     assert np.array_equal(table, reference_s_table(n_max)), n_max
 
 
-@pytest.mark.parametrize("block", [7, 64])
-def test_blocked_s_table_matches_the_z_loop_at_every_block_edge(monkeypatch, block):
-    monkeypatch.setattr(lattice, "_S_BLOCK", block)
+def checked_groups(mp, z_group=lattice._z_group):
+    """Check every z-group s_table certifies, and list (len(r2), group).
+
+    A group of uint16 partial sums is safe when group*max(r2) < _S_ACC.
+    """
+    seen = []
+
+    def checked(r2):
+        group = z_group(r2)
+        assert r2.dtype == np.uint16
+        assert group >= 1 and group * int(r2.max()) < lattice._S_ACC, (
+            len(r2), group, r2.max())
+        seen.append((len(r2), group))
+        return group
+
+    mp.setattr(lattice, "_z_group", checked)
+    return seen
+
+
+def sweep_grown(mp, block):
+    # One table grown an entry at a time.
+    mp.setattr(lattice, "_S_BLOCK", block)
+    seen = checked_groups(mp)
     for n_max in range(301):
         assert_same_table(n_max)
+    return seen
+
+
+def sweep_cold(mp, block):
+    # Every size built from nothing, so whole runs of blocks are summed.
+    mp.setattr(lattice, "_S_BLOCK", block)
+    seen = checked_groups(mp)
+    for n_max in range(301):
+        lattice._S_CACHE.clear()
+        assert_same_table(n_max)
+    assert [n - 1 for n, _ in seen] == list(range(301))
+    return seen
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_blocked_s_table_matches_the_z_loop_at_every_block_edge(monkeypatch, block):
+    sweep_grown(monkeypatch, block)
 
 
 @pytest.mark.parametrize("block", [7, 64])
 def test_cold_s_table_matches_the_z_loop_at_every_block_edge(monkeypatch, block):
-    # The test above grows one table an entry at a time; here every size
-    # is built from nothing, so whole runs of blocks are summed.
-    monkeypatch.setattr(lattice, "_S_BLOCK", block)
-    for n_max in range(301):
-        lattice._S_CACHE.clear()
-        assert_same_table(n_max)
+    sweep_cold(monkeypatch, block)
+
+
+@pytest.mark.parametrize("acc", [2**6, 2**8])
+@pytest.mark.parametrize("block", [7, 64])
+def test_s_table_flushes_small_partial_sums(monkeypatch, block, acc):
+    # With the uint16 limit patched small, groups flush every few z.
+    monkeypatch.setattr(lattice, "_S_ACC", acc)
+    grown = sweep_grown(monkeypatch, block)
+    cold = sweep_cold(monkeypatch, block)
+    assert any(group < isqrt(n - 1) for n, group in grown + cold)
 
 
 @pytest.mark.parametrize(
-    "n_max", [2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5]
+    "n_max",
+    [2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5,
+     2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5],
 )
 def test_blocked_s_table_matches_the_z_loop_at_the_real_block_size(n_max):
-    assert lattice._S_BLOCK == 2**17
+    assert lattice._S_BLOCK == 2**18
     assert_same_table(n_max)
 
 
@@ -369,6 +413,8 @@ def test_s_table_int32_certificate():
     # s(n) <= 2*(2*isqrt(n)+1)^2 is below 2^31 up to _S_MAX and no further.
     top = lattice._S_MAX
     assert 2 * (2 * isqrt(top) + 1) ** 2 < 2**31 <= 2 * (2 * isqrt(top + 1) + 1) ** 2
+    # r2(n) <= 2*(2*isqrt(n)+1) fits the uint16 partial sums up to there.
+    assert 2 * (2 * isqrt(top) + 1) < lattice._S_ACC == 2**16
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="int32"):
@@ -379,28 +425,42 @@ def test_s_table_int32_certificate():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("block", [7, 64])
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 600), min_size=1, max_size=6))
-def test_growing_s_table_matches_the_z_loop(block, sizes):
+def grow_against_the_z_loop(block, acc, sizes):
     # Rising, falling and repeated requests against one cache.
     sizes = sizes + sizes[::-1] + sizes
     reference = reference_s_table(max(sizes))
     lattice._S_CACHE.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_S_BLOCK", block)
+        mp.setattr(lattice, "_S_ACC", acc)
+        checked_groups(mp)
         for n_max in sizes:
             table = s_table(n_max)
             assert table.dtype == np.int32
             assert np.array_equal(table, reference[: n_max + 1]), (sizes, n_max)
 
 
+@pytest.mark.parametrize("block", [7, 64])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 600), min_size=1, max_size=6))
+def test_growing_s_table_matches_the_z_loop(block, sizes):
+    grow_against_the_z_loop(block, lattice._S_ACC, sizes)
+
+
+@pytest.mark.parametrize("acc", [2**6, 2**8])
+@pytest.mark.parametrize("block", [7, 64])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 600), min_size=1, max_size=6))
+def test_growing_s_table_with_small_partial_sums(block, acc, sizes):
+    grow_against_the_z_loop(block, acc, sizes)
+
+
 def test_growing_s_table_across_the_real_block_edge():
-    assert lattice._S_BLOCK == 2**17
-    s_table(2**17 - 3)
+    assert lattice._S_BLOCK == 2**18
+    s_table(2**18 - 3)
     # The new entries start 3 below the edge and run past two blocks.
-    assert_same_table(2**18 + 5)
-    assert len(lattice._S_CACHE["s"]) == 2**18 + 6
+    assert_same_table(2**19 + 5)
+    assert len(lattice._S_CACHE["s"]) == 2**19 + 6
 
 
 def test_s_table_is_read_only():
@@ -446,6 +506,20 @@ def test_growing_s_table_peaks_no_higher_than_a_cold_build():
         tracemalloc.stop()
     # The slack covers interpreter bookkeeping, not an array.
     assert grown <= cold + (1 << 12), (grown, cold)
+
+
+def test_cold_s_table_peaks_at_six_bytes_an_entry():
+    # An int32 s and a uint16 r2; an int32 r2 would make it 8 bytes.  The
+    # slack is the uint16 accumulator of one block and bookkeeping.
+    n_max = 1 << 20
+    lattice._S_CACHE.clear()
+    tracemalloc.start()
+    try:
+        s_table(n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (n_max + 1) + 2 * lattice._S_BLOCK + (1 << 17), peak
 
 
 @settings(max_examples=10, deadline=None)
