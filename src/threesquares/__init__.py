@@ -25,7 +25,6 @@ from .lattice import (
     TernaryForm,
     identity_form,
     rep_count_ternary,
-    s_of_n,
     s_table,
     theta_series_binary,
     theta_series_ternary,
@@ -83,7 +82,6 @@ __all__ = [
     "TernaryForm",
     "identity_form",
     "rep_count_ternary",
-    "s_of_n",
     "s_table",
     "theta_series_binary",
     "theta_series_ternary",

@@ -23,7 +23,7 @@ from contextlib import nullcontext
 from .catalog import catalog
 from .genera import find_h_between, genus_partition, require_odd_prime, tg1, tg2
 from .lattice import TernaryForm, point_array_bytes, rep_count_ternary, s_table
-from .verify import array_bytes, run_catalog, verify_prop54
+from .verify import cap_bytes, run_catalog, verify_prop54
 
 DEFAULT_ORDER = 1000
 
@@ -41,8 +41,15 @@ COUNT_MAX_N = 10**6
 CLASS_SCAN_MAX_DISC = 3 * 10**5
 
 # No array may pass the largest s table the int32 certificate admits,
-# 16384^2 entries of 4 bytes.  Commands bound their arrays before any work.
+# 16384^2 entries of 4 bytes, and no ternary theta may walk more points
+# than would fill it as int64 rows.  Commands check before any work.
 ARRAY_CAP = 1 << 30
+
+# What each cap bounds, in the words of its refusal.  A ternary theta
+# holds only a batch of its points at once, so its bound is on work.
+_S_TABLE = "needs a {}-byte array for its int32 s table"
+_WALK = "walks lattice points whose int64 rows would take {} bytes"
+_ARRAYS = "needs {} bytes for the arrays of one series"
 
 # Rows of `s --max` formatted per write: about 200 KB of text.
 S_ROWS = 1 << 13
@@ -54,11 +61,11 @@ class UsageError(SystemExit):
         super().__init__(USAGE_ERROR)
 
 
-def _require_cap(name: str, value: int, need: int) -> None:
+def _require_cap(name: str, value: int, need: int, bounds: str) -> None:
+    """Refuse value when need, a byte count that bounds words, passes ARRAY_CAP."""
     if need > ARRAY_CAP:
         raise UsageError(
-            f"{name} {value} needs a {need}-byte array, "
-            f"over the {ARRAY_CAP}-byte cap of an int32 s table"
+            f"{name} {value} {bounds.format(need)}, over the {ARRAY_CAP}-byte cap"
         )
 
 
@@ -161,8 +168,9 @@ def _cmd_verify(args) -> int:
             if ident not in known:
                 raise UsageError(f"unknown identity id {ident!r}")
         specs = [s for s in specs if s.id in ids]
-    need = max(array_bytes(x, order) for s in specs for x in (s.lhs, s.rhs))
-    _require_cap(name, order, need)
+    walk, arrays = cap_bytes([x for s in specs for x in (s.lhs, s.rhs)], order)
+    _require_cap(name, order, arrays, _ARRAYS)
+    _require_cap(name, order, walk, _WALK)
     reports = run_catalog(order, ids)
     rows = []
     for r in reports:
@@ -240,7 +248,9 @@ def _cmd_genus(args) -> int:
         # The pairing pulls tg2's theta series back from 4 * max_n.  The
         # cap is on the points those thetas walk, their work, though each
         # holds only a batch of them at a time.
-        _require_cap("--max-n", args.max_n, point_array_bytes(3, 4 * args.max_n))
+        _require_cap(
+            "--max-n", args.max_n, point_array_bytes(3, 4 * args.max_n), _WALK
+        )
         genus1, genus2 = tg1(args.p), tg2(args.p)
         pairing = find_h_between(genus2, genus1, args.max_n)
         if args.format == "json":
@@ -292,7 +302,8 @@ def _cmd_prop54(args) -> int:
         primes.append(_odd_prime(p))
     # The s table, and the points each genus member's theta walks.
     s_bytes = 4 * (max(primes) ** 2 * args.max_n + 1)
-    _require_cap("--max-n", args.max_n, max(s_bytes, point_array_bytes(3, args.max_n)))
+    _require_cap("--max-n", args.max_n, s_bytes, _S_TABLE)
+    _require_cap("--max-n", args.max_n, point_array_bytes(3, args.max_n), _WALK)
     rows = []
     all_pass = True
     for p in primes:

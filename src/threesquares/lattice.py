@@ -19,9 +19,11 @@ affine exponent.
 
 s_table returns a read-only prefix view of the largest s table built so
 far.  That table is held for the whole process in the module dict
-_S_CACHE, and a larger request grows it.  Its z-sum runs on uint16 r2
-values, summed in uint16 partial sums whose group size the exact max
-of r2 certifies.
+_S_CACHE, and a larger request grows it.  Squares are 0, 1 or 4 mod 8,
+so its z-sum runs only on the outputs n = 1, 2, 3, 5, 6 mod 8; s(8j + 7)
+is 0 and s(4m) = s(m) is copied.  r2 is held as uint16 planes by
+residue mod 8 and summed in uint16 partial sums whose group size the
+exact max of r2 certifies.
 """
 
 from __future__ import annotations
@@ -412,11 +414,6 @@ def identity_form() -> TernaryForm:
     return TernaryForm(1, 1, 1, 0, 0, 0)
 
 
-def s_of_n(n: int) -> int:
-    """Number of representations of n as a sum of three squares."""
-    return rep_count_ternary(identity_form(), n)
-
-
 def point_array_bytes(arity: int, num: int, den: int = 1) -> int:
     """A bound on the bytes of the int64 rows (coordinates, value) of the
     integer v with Q(v + h) <= num/den, for any integral positive form Q
@@ -441,9 +438,20 @@ _S_MAX = 16384 * 16384 - 1
 # r2(n) <= 2*(2*isqrt(n) + 1) <= 65534 < _S_ACC, and every z-group of
 # _z_group(r2) >= 1 values fits.
 _S_ACC = 1 << 16
-# Output entries summed per block: 1 MB of int32 plus a 512 KB uint16
-# accumulator, which stay in L2.
+# Output entries summed per block, rounded up to whole columns of 8; the
+# two uint16 accumulators of a block, 576 KB, stay in L2.
 _S_BLOCK = 1 << 18
+
+# The rows of the r2 planes: row k holds r2(8c + _R2_ROWS[k]) in column
+# c, so row 0 is residue 5 one column later (r2(-3) = 0 at c = 0).  The
+# residues of n - z^2 that an output class needs are then one run of
+# rows for each class of z: an odd z (z^2 = 8t + 1) takes rows 2:7 to
+# outputs 3, 2, 6, 1, 5; z = 0 mod 4 (z^2 = 8t) rows 2:5 to outputs
+# 2, 1, 5; z = 2 mod 4 (z^2 = 8t + 4) rows 0:3 to outputs 1, 5, 6.
+_R2_ROWS = (-3, 1, 2, 1, 5, 0, 4)
+# Output residues of the odd-z accumulator's rows, then of the even one's.
+_S_ODD_OUT = (3, 2, 6, 1, 5)
+_S_EVEN_OUT = (2, 1, 5, 6)
 
 
 # The largest s table built so far, under the one key "s".  Every table
@@ -456,21 +464,68 @@ def _z_group(r2: np.ndarray) -> int:
     return _S_ACC // (int(r2.max()) + 1)
 
 
+def _r2_planes(width: int) -> np.ndarray:
+    """r2(n) = #{(a, b) : a^2 + b^2 = n} for n < 8*width, as a (7, width)
+    uint16 table laid out by _R2_ROWS.
+
+    Only the points 0 <= a <= b are walked, each of weight 8 (its orbit
+    under signs and swap); the axis points (0, b) and the diagonal ones
+    (a, a) have orbits of 4, so 4 comes off at b^2 and 2a^2, and r2(0)
+    is set to 1.  The uint16 sums may wrap on the way, but every final
+    r2(n) is below 2^16 (see _S_ACC), so arithmetic mod 2^16 leaves it
+    exact.  The flat index of n is (its row)*width + (n >> 3), tabulated
+    once for each a^2 mod 8 over all b^2.  A sum of two squares is never
+    3, 6 or 7 mod 8, and those residues are given row 7, past the
+    planes, so that a write there would raise IndexError.
+    """
+    n_top = 8 * width - 1
+    flat = np.zeros(7 * width, dtype=np.uint16)
+    rows = [_R2_ROWS.index(r) if r in _R2_ROWS else 7 for r in range(8)]
+    offsets = np.array(rows, dtype=np.int64) * width
+
+    def index(n):
+        return offsets[n & 7] + (n >> 3)
+
+    squares = np.arange(isqrt(n_top) + 1, dtype=np.int64) ** 2
+    tables = {e: index(e + squares) for e in (0, 1, 4)}
+    for a in range(isqrt(n_top // 2) + 1):
+        aa = a * a
+        flat[tables[aa & 7][a:isqrt(n_top - aa) + 1] + (aa >> 3)] += 8
+    flat[index(squares[1:])] -= 4
+    flat[index(2 * squares[1:isqrt(n_top // 2) + 1])] -= 4
+    planes = flat.reshape(7, width)
+    # r2(0), then the second row of residue 1 and residue 5 moved on a
+    # column.
+    planes[5, 0] = 1
+    planes[3] = planes[1]
+    planes[0, 1:] = planes[4, :-1]
+    return planes
+
+
 def s_table(n_max: int) -> np.ndarray:
     """s(0..n_max) as an int32 array, from s(n) = r2(n) + 2*sum r2(n - z^2).
 
     The result is a read-only prefix view of the largest table built so
     far, held in _S_CACHE.  A request beyond it copies the cached
-    entries into a new array, drops the old one, and computes only the
-    new entries: r2 comes from enumerating every (a, b) with
-    a^2 + b^2 <= n_max, and the z-sum is taken one output block of
-    _S_BLOCK entries at a time, so the partial sums stay in cache while
-    each z adds its shifted slice of r2.  r2 is uint16, and each block
-    sums _z_group(r2) slices at a time in a uint16 accumulator and
-    flushes it into the block's int32 slice, which halves the bytes each
-    add moves.  All counts fit int32 because s(n) <= 2*(2*isqrt(n) + 1)^2
-    < 2^31 for n_max <= _S_MAX; a larger n_max raises ValueError before
-    anything is allocated.
+    entries up to the last multiple of 8 into a new array, drops the old
+    one, and computes only the rest (up to 7 old entries again).
+
+    Squares are 0, 1 or 4 mod 8, so r2 vanishes on n = 3, 6, 7 mod 8,
+    s(8j + 7) = 0, and x^2 + y^2 + z^2 = 0 mod 4 forces x, y, z even, so
+    s(4m) = s(m) (Legendre; Gauss, Disquisitiones art. 291).  The z-sum
+    therefore runs only on the outputs n = 1, 2, 3, 5, 6 mod 8: s(8j + 7)
+    stays the new array's 0, and s(4m) is copied from s(m) in strided
+    chunks m in [m0, 4*m0), whose own multiples of 4 an earlier chunk
+    or the old table has filled.  r2 comes from _r2_planes, and the
+    z-sum is taken one block of _S_BLOCK entries (whole columns of 8) at
+    a time: each z adds one 2-D slice of r2 rows (see _R2_ROWS) into a
+    5-row uint16 accumulator (odd z) or a 4-row one (even z), half the
+    bytes of a full-length slice, and every _z_group(r2) values of z the
+    accumulators are flushed into the int32 outputs, so no partial sum
+    can wrap.  At the peak s holds 4 bytes an entry, r2 1.75 and the
+    accumulators 18 bytes a column of one block.  All counts fit int32
+    because s(n) <= 2*(2*isqrt(n) + 1)^2 < 2^31 for n_max <= _S_MAX; a
+    larger n_max raises ValueError before anything is allocated.
     """
     if n_max > _S_MAX:
         raise ValueError(
@@ -480,45 +535,57 @@ def s_table(n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"s table size must be non-negative, got {n_max}")
     old = _S_CACHE.get("s", np.zeros(0, dtype=np.int32))
-    done = len(old)
-    if n_max < done:
+    if n_max < len(old):
         return old[: n_max + 1]
+    c0 = len(old) >> 3
     s = np.zeros(n_max + 1, dtype=np.int32)
-    s[:done] = old
+    s[: 8 * c0] = old[: 8 * c0]
+    s[0] = 1
     # The old table goes before r2 comes, so the peak is one s, one r2
-    # and one accumulator.
+    # and the accumulators.
     _S_CACHE.clear()
     del old
-    top = isqrt(n_max)
-    r2 = np.zeros(n_max + 1, dtype=np.uint16)
-    squares = np.arange(top + 1, dtype=np.int64) ** 2
-    for a in range(top + 1):
-        rem = n_max - a * a
-        k = isqrt(rem)
-        idx = a * a + squares[: k + 1]
-        w = np.full(k + 1, 2, dtype=np.uint16)
-        w[0] = 1
-        if a > 0:
-            w *= 2
-        r2[idx] += w
+    width = (n_max >> 3) + 1
+    r2 = _r2_planes(width)
     group = _z_group(r2)
-    acc = np.empty(min(_S_BLOCK, n_max + 1 - done), dtype=np.uint16)
-    for lo in range(done, n_max + 1, _S_BLOCK):
-        hi = min(lo + _S_BLOCK, n_max + 1)
-        block = s[lo:hi]
-        zmax = isqrt(hi - 1)
+    cols = -(-_S_BLOCK // 8)
+    odd = np.empty((5, min(cols, width - c0)), dtype=np.uint16)
+    even = np.empty((4, odd.shape[1]), dtype=np.uint16)
+    # (r2 rows, accumulator rows) for z = 0, 1, 2, 3 mod 4.
+    classes = (
+        (r2[2:5], even[0:3]), (r2[2:7], odd),
+        (r2[0:3], even[1:4]), (r2[2:7], odd),
+    )
+    for lo in range(c0, width, cols):
+        hi = min(lo + cols, width)
+        zmax = isqrt(min(8 * hi - 1, n_max))
         for first in range(1, zmax + 1, group):
-            # Sum up to group shifted slices in acc, then flush into s.
-            cut = max(lo, first * first) - lo
-            part = acc[cut:hi - lo]
-            part[:] = 0
+            # Sum up to group shifted slices, then flush into s.
+            cut = max(lo, first * first >> 3) - lo
+            odd[:, cut:hi - lo] = 0
+            even[:, cut:hi - lo] = 0
             for z in range(first, min(first + group, zmax + 1)):
-                m = z * z
-                start = max(lo, m)
-                acc[start - lo:hi - lo] += r2[start - m:hi - m]
-            block[cut:] += part
-        block *= 2
-        block += r2[lo:hi]
+                t = z * z >> 3
+                start = max(lo, t)
+                rows, acc = classes[z & 3]
+                acc[:, start - lo:hi - lo] += rows[:, start - t:hi - t]
+            for acc, outs in ((odd, _S_ODD_OUT), (even, _S_EVEN_OUT)):
+                for row, rho in zip(acc, outs):
+                    out = s[8 * (lo + cut) + rho:8 * hi:8]
+                    out += row[cut:cut + len(out)]
+        # s = r2 + 2*(the sum over z >= 1) on the five summed residues,
+        # the outputs of the odd accumulator; r2 is 0 on 3 and 6.
+        for rho in _S_ODD_OUT:
+            out = s[8 * lo + rho:8 * hi:8]
+            out *= 2
+            if rho in (1, 2, 5):
+                out += r2[_R2_ROWS.index(rho), lo:lo + len(out)]
+    # s(4m) = s(m), in chunks whose sources are all filled already.
+    m0 = max(2 * c0, 1)
+    while m0 <= n_max >> 2:
+        m1 = min(4 * m0, (n_max >> 2) + 1)
+        s[4 * m0:4 * m1:4] = s[m0:m1]
+        m0 = m1
     s.flags.writeable = False
     _S_CACHE["s"] = s
     return s

@@ -101,20 +101,22 @@ def verify_identity(spec_or_id, order: int) -> VerificationReport:
     return VerificationReport(spec.id, order, status, mismatch, elapsed)
 
 
-def array_bytes(expr: tuple, order: int) -> int:
-    """A bound on the bytes of the largest array evaluate(expr, order)
-    builds: the largest over the subtrees, each at the deepest order the
-    evaluation asks of it (catalog.plan).
+def cap_bytes(exprs: list, order: int) -> tuple[int, int]:
+    """Two byte bounds on evaluating exprs at order, each subtree at the
+    deepest order the run asks of it (catalog.plan): the int64 rows of
+    the points its ternary thetas walk, a bound on their work, since a
+    theta holds only a batch of them at once; and the largest array
+    any other node builds.
     """
-    return max(_node_bytes(node, at) for node, at in plan([expr], order).items())
+    nodes = plan(exprs, order).items()
+    walk = [_node_bytes(node, at) for node, at in nodes if node[0] == "theta3"]
+    arrays = [_node_bytes(node, at) for node, at in nodes if node[0] != "theta3"]
+    return max(walk, default=0), max(arrays, default=0)
 
 
 def _node_bytes(expr: tuple, order: int) -> int:
-    """A bound on the bytes one node costs at order.
-
-    A ternary theta holds only a batch of its points at a time, but it
-    is charged point_array_bytes(3, order), the bound on the points it
-    walks: the cap keeps that work, as well as every array, in bounds.
+    """A bound on the bytes one node costs at order: for a ternary theta
+    point_array_bytes(3, order), the int64 rows of the points it walks.
     """
     op = expr[0]
     if op == "theta3":

@@ -12,7 +12,7 @@ import pytest
 
 from threesquares import cli, forms
 from threesquares.cli import main
-from threesquares.lattice import s_of_n, s_table
+from threesquares.lattice import identity_form, rep_count_ternary, s_table
 
 
 def run_cli(argv, capsys):
@@ -69,7 +69,8 @@ def test_s_output_memory_does_not_grow_with_the_rows(capfd):
     assert peak < 4 << 20, peak
     out = capfd.readouterr().out
     assert out.count("\n") == 200001
-    assert out.endswith(f'{{"n": 200000, "s": {s_of_n(200000)}}}\n')
+    last = rep_count_ternary(identity_form(), 200000)
+    assert out.endswith(f'{{"n": 200000, "s": {last}}}\n')
 
 
 def test_count_output(capsys):
@@ -523,9 +524,10 @@ def test_verify_order_above_the_array_cap(monkeypatch, capsys, via_env):
 
     name = "TERNARY_ORDER" if via_env else "--order"
     err = _refuses_before_work(monkeypatch, capsys, ["run_catalog"], argv(6440))
+    # The cap bounds the points the theta walks, not an array it holds.
     assert err == (
-        f"error: {name} 6440 needs a {32 * 323**3}-byte array, "
-        f"over the {cli.ARRAY_CAP}-byte cap of an int32 s table\n"
+        f"error: {name} 6440 walks lattice points whose int64 rows would "
+        f"take {32 * 323**3} bytes, over the {cli.ARRAY_CAP}-byte cap\n"
     )
     _passes_the_cap(monkeypatch, capsys, "run_catalog", argv(6439))
     # One identity is bounded by its own trees: E1.9 has no lattice leaf,
@@ -535,7 +537,7 @@ def test_verify_order_above_the_array_cap(monkeypatch, capsys, via_env):
         ["verify", "--id", "E1.9", "--order", "1000000000"],
     )
     need = (10**9 + 1) * (16 * 7084 + 88)
-    assert f"--order 1000000000 needs a {need}-byte array" in err
+    assert f"--order 1000000000 needs {need} bytes for the arrays of one series" in err
 
 
 def test_genus_max_n_above_the_array_cap(monkeypatch, capsys):
@@ -544,7 +546,9 @@ def test_genus_max_n_above_the_array_cap(monkeypatch, capsys):
         monkeypatch, capsys, ["tg1", "tg2", "find_h_between"],
         ["genus", "--p", "73", "--max-n", "6441"],
     )
-    assert err.startswith("error: --max-n 6441 needs a ") and "-byte cap" in err
+    assert err.startswith(
+        "error: --max-n 6441 walks lattice points whose int64 rows would take "
+    ) and "-byte cap" in err
     _passes_the_cap(
         monkeypatch, capsys, "tg1", ["genus", "--p", "73", "--max-n", "6440"]
     )
@@ -557,12 +561,17 @@ def test_prop54_max_n_above_the_array_cap(monkeypatch, capsys):
         monkeypatch, capsys, ["verify_prop54"],
         ["prop54", "--p", "3,127", "--max-n", "20000"],
     )
-    assert err.startswith(f"error: --max-n 20000 needs a {4 * (127**2 * 20000 + 1)}-")
+    assert err.startswith(
+        f"error: --max-n 20000 needs a {4 * (127**2 * 20000 + 1)}-byte array "
+        "for its int32 s table, over the "
+    )
     err = _refuses_before_work(
         monkeypatch, capsys, ["verify_prop54"],
         ["prop54", "--p", "3,5", "--max-n", "25761"],
     )
-    assert err.startswith("error: --max-n 25761 needs a ") and "-byte cap" in err
+    assert err.startswith(
+        "error: --max-n 25761 walks lattice points whose int64 rows would take "
+    ) and "-byte cap" in err
     _passes_the_cap(
         monkeypatch, capsys, "verify_prop54",
         ["prop54", "--p", "3,5", "--max-n", "25760"],
@@ -573,9 +582,9 @@ def test_benchmark_sizes_stay_far_below_every_cap():
     from threesquares import cli
     from threesquares.catalog import catalog
     from threesquares.lattice import point_array_bytes
-    from threesquares.verify import array_bytes
+    from threesquares.verify import cap_bytes
 
-    verify_all = max(array_bytes(x, 1000) for s in catalog() for x in (s.lhs, s.rhs))
+    verify_all = max(cap_bytes([x for s in catalog() for x in (s.lhs, s.rhs)], 1000))
     genus = point_array_bytes(3, 4 * 500)
     prop54 = max(4 * (23**2 * 1000 + 1), point_array_bytes(3, 1000))
     assert max(verify_all, genus, prop54) * 16 <= cli.ARRAY_CAP

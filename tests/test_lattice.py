@@ -1,5 +1,6 @@
 """Lattice counting: brute-force oracles, bound sufficiency, constraints."""
 
+import functools
 import random
 import re
 import tracemalloc
@@ -18,7 +19,6 @@ from threesquares.lattice import (
     identity_form,
     point_array_bytes,
     rep_count_ternary,
-    s_of_n,
     s_table,
     short_vectors,
     theta_series_binary,
@@ -296,6 +296,11 @@ def test_rep_count_examples():
     assert rep_count_ternary(identity_form(), 0) == 1
 
 
+def s_of_n(n):
+    """Number of representations of n as a sum of three squares."""
+    return rep_count_ternary(identity_form(), n)
+
+
 def test_s_of_n_values():
     assert s_of_n(1) == 6
     assert s_of_n(9) == 30
@@ -313,8 +318,8 @@ def test_s_table_matches_single_counts():
         assert int(table[n]) == s_of_n(n) == theta[n]
 
 
-def reference_s_table(n_max):
-    """The z-loop table: one full-length int64 pass per z <= isqrt(n_max)."""
+def reference_r2(n_max):
+    """r2(0..n_max) by the (a, b) loop over the quarter disc, int64."""
     r2 = np.zeros(n_max + 1, dtype=np.int64)
     top = isqrt(n_max)
     squares = np.arange(top + 1, dtype=np.int64) ** 2
@@ -326,8 +331,14 @@ def reference_s_table(n_max):
         if a > 0:
             w *= 2
         r2[idx] += w
+    return r2
+
+
+def reference_s_table(n_max):
+    """The z-loop table: one full-length int64 pass per z <= isqrt(n_max)."""
+    r2 = reference_r2(n_max)
     s = np.zeros(n_max + 1, dtype=np.int64)
-    for z in range(top + 1):
+    for z in range(isqrt(n_max) + 1):
         m = z * z
         w = 2 if z > 0 else 1
         s[m:] += w * r2[: n_max + 1 - m]
@@ -341,7 +352,7 @@ def assert_same_table(n_max):
 
 
 def checked_groups(mp, z_group=lattice._z_group):
-    """Check every z-group s_table certifies, and list (len(r2), group).
+    """Check every z-group s_table certifies, and list (columns of r2, group).
 
     A group of uint16 partial sums is safe when group*max(r2) < _S_ACC.
     """
@@ -351,8 +362,8 @@ def checked_groups(mp, z_group=lattice._z_group):
         group = z_group(r2)
         assert r2.dtype == np.uint16
         assert group >= 1 and group * int(r2.max()) < lattice._S_ACC, (
-            len(r2), group, r2.max())
-        seen.append((len(r2), group))
+            r2.shape, group, r2.max())
+        seen.append((r2.shape[1], group))
         return group
 
     mp.setattr(lattice, "_z_group", checked)
@@ -375,7 +386,8 @@ def sweep_cold(mp, block):
     for n_max in range(301):
         lattice._S_CACHE.clear()
         assert_same_table(n_max)
-    assert [n - 1 for n, _ in seen] == list(range(301))
+    # One certified group per build, over that size's columns of 8.
+    assert [cols for cols, _ in seen] == [n // 8 + 1 for n in range(301)]
     return seen
 
 
@@ -396,7 +408,8 @@ def test_s_table_flushes_small_partial_sums(monkeypatch, block, acc):
     monkeypatch.setattr(lattice, "_S_ACC", acc)
     grown = sweep_grown(monkeypatch, block)
     cold = sweep_cold(monkeypatch, block)
-    assert any(group < isqrt(n - 1) for n, group in grown + cold)
+    # Some block of some build has zmax >= isqrt(8 * (cols - 1)) > group.
+    assert any(group < isqrt(8 * (cols - 1)) for cols, group in grown + cold)
 
 
 @pytest.mark.parametrize(
@@ -461,6 +474,88 @@ def test_growing_s_table_across_the_real_block_edge():
     # The new entries start 3 below the edge and run past two blocks.
     assert_same_table(2**19 + 5)
     assert len(lattice._S_CACHE["s"]) == 2**19 + 6
+
+
+def plane_value(planes, n):
+    """r2(n) read from the planes of lattice._r2_planes."""
+    return int(planes[lattice._R2_ROWS.index(n % 8), n // 8])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 50, 1001])
+def test_r2_planes_match_the_reference_loop(width):
+    n_top = 8 * width - 1
+    r2 = reference_r2(n_top)
+    planes = lattice._r2_planes(width)
+    assert planes.dtype == np.uint16 and planes.shape == (7, width)
+    # Row k holds r2(8c + _R2_ROWS[k]); r2 of a negative n is 0.
+    padded = np.concatenate([np.zeros(3, dtype=np.int64), r2])
+    for row, rho in enumerate(lattice._R2_ROWS):
+        assert np.array_equal(planes[row], padded[rho + 3::8][:width]), (row, rho)
+    # The fix-ups: the origin, the axis points n = b^2 and the diagonal
+    # ones n = 2a^2, where a point's orbit is 1 or 4 and not 8.
+    for b in range(isqrt(n_top) + 1):
+        assert plane_value(planes, b * b) == r2[b * b], b
+        if 2 * b * b <= n_top:
+            assert plane_value(planes, 2 * b * b) == r2[2 * b * b], b
+    if width >= 7:
+        assert [plane_value(planes, n) for n in (0, 1, 2, 25, 50)] == [
+            1, 4, 4, 12, 12]
+    # A sum of two squares is never 3, 6 or 7 mod 8: those residues have
+    # no row, their flat index lies past the planes, and every point of
+    # the (a, b) loop lands in one of the five residue rows 2:7.
+    for rho in (3, 6, 7):
+        assert not r2[rho::8].any()
+        assert rho not in lattice._R2_ROWS
+    assert int(planes[2:7].sum(dtype=np.int64)) == int(r2.sum())
+
+
+@pytest.mark.parametrize("block, acc", [(7, 2**6), (64, 2**8), (2**18, 2**16)])
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12))
+def test_growing_s_table_between_every_pair_of_residues(block, acc, cols, gap):
+    # From every old length mod 8 to every new one: a growth recomputes
+    # up to 7 old entries of the old length's last column.
+    reference = reference_s_table(8 * (cols + gap) + 7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_S_BLOCK", block)
+        mp.setattr(lattice, "_S_ACC", acc)
+        checked_groups(mp)
+        for old in range(8 * cols, 8 * cols + 8):
+            for new in range(8 * (cols + gap), 8 * (cols + gap) + 8):
+                lattice._S_CACHE.clear()
+                assert np.array_equal(s_table(old), reference[: old + 1])
+                table = s_table(new)
+                assert np.array_equal(table, reference[: new + 1]), (old, new)
+                assert len(lattice._S_CACHE["s"]) == max(old, new) + 1
+
+
+@functools.lru_cache(maxsize=1)
+def reference_to(n_max):
+    return reference_s_table(n_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 2), st.integers(-9, 9))
+def test_growing_s_table_at_the_edges_of_the_copy_chunks(old, k, offset):
+    # s(4m) = s(m) is copied for m in chunks [m0, 4*m0), m0 = 2*(old // 8)
+    # (1 when cold) and times 4 after each, so the targets 4*m reach each
+    # chunk edge at 4^(k + 1)*m0.
+    reference = reference_to(200000)
+    new = max(old, 4 ** (k + 1) * max(2 * (old // 8), 1) + offset)
+    assume(new <= 200000)
+    lattice._S_CACHE.clear()
+    if old:
+        s_table(old - 1)
+    assert np.array_equal(s_table(new), reference[: new + 1]), (old, new)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_cold_s_table_across_powers_of_4(k):
+    # A cold build copies s(4m) in the chunks [4^j, 4^(j + 1)).
+    reference = reference_to(200000) if 4**k < 200000 else reference_s_table(4**k + 9)
+    for n_max in (4**k - 1, 4**k, 4**k + 1, 4**k + 4, 4**k + 9):
+        lattice._S_CACHE.clear()
+        assert np.array_equal(s_table(n_max), reference[: n_max + 1]), n_max
 
 
 def test_s_table_is_read_only():
