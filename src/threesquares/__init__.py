@@ -44,7 +44,6 @@ from .genera import (
     HResult,
     find_h,
     genus_partition,
-    same_genus,
     tg1,
     tg2,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "HResult",
     "find_h",
     "genus_partition",
-    "same_genus",
     "tg1",
     "tg2",
     "IdentitySpec",

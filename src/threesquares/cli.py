@@ -29,9 +29,10 @@ DEFAULT_ORDER = 1000
 
 USAGE_ERROR = 2
 
-# count walks every (y, z) row of the ellipsoid, about pi*n rows for
-# x^2 + y^2 + z^2: 10^6 takes about 1.4 s on a 2-vCPU Xeon, 10^7 about 14 s.
-COUNT_MAX_N = 10**6
+# count walks every (y, z) row of the ellipsoid as arrays, about pi*n rows
+# for x^2 + y^2 + z^2: 10^7 takes about 1.7 s on a 2-vCPU Xeon and 10^6
+# 0.55 s, each with 0.3 s of start-up.
+COUNT_MAX_N = 10**7
 
 # tg1(p) classifies every form of discriminant p^2, in time growing about
 # as p^3: p = 409 takes about 0.9 s on a 2-vCPU Xeon, p = 547 about 2.7 s.

@@ -260,12 +260,6 @@ def genus_symbol(form: TernaryForm):
     return tuple(parts)
 
 
-def same_genus(f: TernaryForm, g: TernaryForm) -> bool:
-    if f.disc() != g.disc():
-        raise ValueError("genus comparison requires equal discriminants")
-    return genus_symbol(f) == genus_symbol(g)
-
-
 @dataclass(frozen=True)
 class Genus:
     discriminant: int

@@ -1,29 +1,22 @@
 """Exact representation counts and theta series of definite quadratic forms.
 
-All enumeration bounds are derived in integer arithmetic (isqrt on exact
-discriminants), never floating point, so every reported count is provably
-complete.  Ternary forms are written a*x^2 + b*y^2 + c*z^2 + d*yz + e*zx
-+ f*xy and binary forms a*m^2 + b*mn + c*n^2, optionally with a linear
-part (u, v) and a constant shift added to the exponent.
+Ternary forms are written a*x^2 + b*y^2 + c*z^2 + d*yz + e*zx + f*xy and
+binary forms a*m^2 + b*mn + c*n^2, optionally with a linear part (u, v)
+and a constant shift added to the exponent.  Every enumeration bound is
+exact: isqrt of an exact discriminant, in Python ints or, in the ternary
+array walk, a float root corrected by exact integer steps (_isqrt).
 
-Points come from one run generator per arity (_runs, over the rows of
-_ternary_rows; the n-loop of theta_series_binary) and one expansion of
-runs into int64 arrays, _spread.  Every caller proves its int64 bound
-before expanding, or raises ValueError.  short_vectors expands all its
-runs into one array.  The ternary theta streams them instead: it
-expands and counts about _CHUNK points at a time and never holds them
-all.  A constrained ternary theta walks only the rows (y, z) whose
-residues some allowed tuple has, and masks x on those; the binary
-theta builds every row, since it checks each point for a negative
-affine exponent.
+Points come from one run generator per arity (_walk, the ternary rows as
+arrays one block of z at a time; the n-loop of theta_series_binary) and
+one expansion of runs into int64 arrays, _spread.  Every caller proves
+its int64 bound before expanding, or raises ValueError.  short_vectors
+expands all its runs into one array; the ternary theta counts about
+_CHUNK points at a time, and with a constraint walks only the rows
+(y, z) whose residues some allowed tuple has.  The binary theta builds
+every row, since it checks each point for a negative affine exponent.
 
 s_table returns a read-only prefix view of the largest s table built so
-far.  That table is held for the whole process in the module dict
-_S_CACHE, and a larger request grows it.  Squares are 0, 1 or 4 mod 8,
-so its z-sum runs only on the outputs n = 1, 2, 3, 5, 6 mod 8; s(8j + 7)
-is 0 and s(4m) = s(m) is copied.  r2 is held as uint16 planes by
-residue mod 8 and summed in uint16 partial sums whose group size the
-exact max of r2 certifies.
+far, held for the whole process in the module dict _S_CACHE.
 """
 
 from __future__ import annotations
@@ -109,13 +102,6 @@ class BinaryForm:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    def value(self, m: int, n: int) -> int:
-        u, v = self.linear
-        return (
-            self.a * m * m + self.b * m * n + self.c * n * n
-            + u * m + v * n + self.const
-        )
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -150,131 +136,153 @@ def _x_range(aa: int, bb: int, cc: int, n: int):
     return -((bb + s) // (2 * aa)), (-bb + s) // (2 * aa)
 
 
-def _ternary_rows(form: TernaryForm, bound: int, admit=None):
-    """Yield (y, z, b1, c1) for every row holding a triple of value <= bound.
-
-    On row (y, z) the value is a*x^2 + b1*x + c1.  Completing the square
-    in x (Fincke & Pohst, Math. Comp. 44, 1985) turns the bound into
-    P2(y,z) <= 4*a*bound, with P2 = (4ab-f^2) y^2 + (4ad-2ef) yz
-    + (4ac-e^2) z^2 and 4*(4ab-f^2)*(4ac-e^2) - (4ad-2ef)^2 = 16*a*disc.
-    So every yielded row has b1^2 - 4*a*(c1 - bound) = 4*a*bound - P2 >= 0.
-
-    Rows come z ascending, then y ascending.  An (m, m) boolean table
-    admit keeps only the rows with admit[y % m, z % m]: a z with no
-    admitted y is skipped, and on any other z each admitted residue
-    class of y is walked upwards in steps of m, one class after
-    another, so a rejected row costs nothing.  Without admit the walk
-    is the one class of m = 1.
-    """
-    if bound < 0:
-        return
-    a, b, c, d, e, f = form.as_tuple()
-    a2 = 4 * a * b - f * f
-    b2 = 4 * a * d - 2 * e * f
-    c2 = 4 * a * c - e * e
-    zmax = isqrt(a2 * bound // form.disc())
-    if admit is None:
-        m, classes = 1, [(0,)]
-    else:
-        m = len(admit)
-        classes = [np.flatnonzero(admit[:, r]).tolist() for r in range(m)]
-    fm, bmm = f * m, 2 * b * m * m
-    for z in range(-zmax, zmax + 1):
-        residues = classes[z % m]
-        if not residues:
-            continue
-        ylo, yhi = _x_range(a2, b2 * z, c2 * z * z - 4 * a * bound, 0)
-        for r in residues:
-            y0 = ylo + (r - ylo) % m
-            b1 = f * y0 + e * z
-            c1 = b * y0 * y0 + c * z * z + d * y0 * z
-            step = m * (b * (2 * y0 + m) + d * z)
-            for y in range(y0, yhi + 1, m):
-                yield y, z, b1, c1
-                b1 += fm
-                c1 += step
-                step += bmm
+# Rows a block of _walk reaches before it ends, at about 150 bytes each.
+_ROWS = 1 << 10
+# The rows of a run that _spread repeats for ncoord coordinates.
+_HEADS = {k: np.array([0, *range(4, 4 + k), 2, 3]) for k in range(3)}
 
 
-def _runs(form: TernaryForm, bound: int, admit=None):
-    """Yield runs (xlo, count, b1, c1, y, z) covering every triple v != 0
-    with form(v) <= bound, one per row of _ternary_rows with x ascending.
+def _certify_ternary(form: TernaryForm, bound: int) -> type:
+    """Raise ValueError unless every run of _walk(form, bound) expands in
+    int64; return the dtype in which _walk's rows are exact.
 
-    The run is x = xlo .. xlo + count - 1 at value a*x^2 + b1*x + c1.  The
-    row through the origin is split in two runs, xlo..-1 and 1..-xlo.
-    """
-    a = form.a
-    for y, z, b1, c1 in _ternary_rows(form, bound, admit):
-        xlo, xhi = _x_range(a, b1, c1, bound)
-        if y == z == 0:
-            yield xlo, -xlo, b1, c1, y, z
-            xlo = 1
-        if xlo <= xhi:
-            yield xlo, xhi - xlo + 1, b1, c1, y, z
-
-
-def _certify_ternary(form: TernaryForm, bound: int) -> None:
-    """Raise ValueError unless every run of _runs(form, bound) expands in
-    int64.
-
-    Every coordinate obeys x_i^2 <= bound * adj(G)_ii / disc (adj of the
-    doubled Gram G), so bounding each term of a*x^2 + b1*x + c1 by those
-    maxima bounds every intermediate of _spread.
+    Real v with form(v) <= bound have v_i^2 <= bound * adj(G)_ii / disc
+    (G the doubled Gram), so |x|, |y|, |z| <= xm, ym, zm; bounding each
+    term of a*x^2 + b1*x + c1 gives worst.  _walk's quadratics have
+    partial sums at most 4*a*(worst + bound) + (|f|*ym + |e|*zm)^2.
     """
     a, b, c, d, e, f = form.as_tuple()
-    disc = form.disc()
-    n = max(bound, 0)
-    xm, ym, zm = (
-        isqrt(n * adj // disc) + 1
-        for adj in (4 * b * c - d * d, 4 * a * c - e * e, 4 * a * b - f * f)
-    )
-    worst = (
-        a * xm * xm + (abs(f) * ym + abs(e) * zm) * xm
-        + b * ym * ym + c * zm * zm + abs(d) * ym * zm
-    )
+    n, disc = max(bound, 0), form.disc()
+    xm = isqrt(n * (4 * b * c - d * d) // disc) + 1
+    ym = isqrt(n * (4 * a * c - e * e) // disc) + 1
+    zm = isqrt(n * (4 * a * b - f * f) // disc) + 1
+    b1 = abs(f) * ym + abs(e) * zm
+    worst = a * xm * xm + b1 * xm + b * ym * ym + c * zm * zm + abs(d) * ym * zm
     if worst >= _INT64_SAFE:
         raise ValueError(
             f"short vectors up to {bound} of {form} overflow int64 "
             f"(worst intermediate {worst} >= 2^62)"
         )
+    return np.int64 if 4 * a * (worst + n) + b1 * b1 < _INT64_SAFE else object
 
 
-def _spread(a: int, rows: list, ncoord: int) -> np.ndarray:
-    """Expand runs (xlo, count, b1, c1, *coords) into rows
-    (x, *coords[:ncoord], value); coordinates past ncoord are dropped.
-
-    A run is x = xlo .. xlo + count - 1 with value a*x^2 + b1*x + c1; rows
-    come out run by run, x ascending.  The caller certifies int64.
+def _isqrt(n: np.ndarray, top: int) -> np.ndarray:
+    """isqrt of each entry of n, all in [0, top]: int64, top < 2^62, or
+    Python ints.  Below 2^62, rounding n to float64 and the rounded sqrt
+    each move the root by a relative 2^-53 at most, so the float root is
+    within sqrt(n) * 2^-52 < 2^-21 of the true one and its floor within
+    one of isqrt(n); one exact step each way corrects it, and s + 1 <=
+    2^31 + 1 squares below 2^63.  Below 2^50 the floor is exact: t =
+    isqrt(n) < 2^25 has sqrt(n) < t + 1 - 1/(2t + 2) <= t + 1 - 2^-26,
+    and floats below t + 1 lie at most 2^-28 apart.
     """
-    width = len(rows[0]) if rows else 4 + ncoord
-    runs = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    xlo, count, b1, c1, *coords = runs.T
-    starts = np.cumsum(count) - count
-    out = np.empty((int(count.sum()), ncoord + 2), dtype=np.int64)
-    x = out[:, 0]
-    x[:] = np.repeat(xlo - starts, count)
-    x += np.arange(len(out), dtype=np.int64)
-    for i, col in enumerate(coords[:ncoord], 1):
-        out[:, i] = np.repeat(col, count)
-    val = out[:, -1]
-    np.multiply(x, a, out=val)
-    val += np.repeat(b1, count)
+    if n.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(n)
+    s = np.sqrt(n).astype(np.int64)
+    if top >= 1 << 50:
+        s -= s * s > n
+        s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _walk(form: TernaryForm, bound: int, dtype, admit=None):
+    """Yield runs covering every triple v != 0 with form(v) <= bound, one
+    block of z at a time, as arrays of shape (6, k) with rows xlo, count,
+    b1, c1, y, z: z ascending, then y, each run x ascending.
+
+    On row (y, z) the value is a*x^2 + b1*x + c1, and its run is x = xlo
+    .. xlo + count - 1 by _x_range's floors on s = isqrt(disc), disc =
+    b1^2 - 4*a*(c1 - bound) = 4*a*bound - P2(y, z) by completing the
+    square (Fincke & Pohst, Math. Comp. 44, 1985).  The rows of a z are
+    y = ylo..yhi by the floors on P2's discriminant in y, 16*a*((4ab-f^2)
+    *bound - disc(form)*z^2) >= 0, in Python ints.  Per block of _ROWS or
+    more rows, disc, 2a - b1, b1 and c1 are quadratics in y with per-z
+    coefficients, taken at once in dtype.  The origin's row comes twice,
+    split in the runs xlo..-1 and 1..-xlo; runs and blocks may be empty.
+    An (m, m) boolean table admit keeps the rows with admit[y % m, z % m].
+    """
+    if bound < 0:
+        return
+    a, b, c, d, e, f = form.as_tuple()
+    a2, b2, c2 = 4 * a * b - f * f, 4 * a * d - 2 * e * f, 4 * a * c - e * e
+    top, step = 16 * a * a2 * bound, 16 * a * form.disc()
+    zmax = isqrt(top // step)
+    m, some_y = (1, [True]) if admit is None else (len(admit), admit.any(0).tolist())
+    table, lens, origin, total = [], [], None, 0
+    for z in range(-zmax, zmax + 1):
+        if some_y[z % m]:
+            root = isqrt(top - step * z * z)
+            ylo, yhi = -((b2 * z + root) // (2 * a2)), (root - b2 * z) // (2 * a2)
+            if z == 0:
+                origin = total - ylo
+            for lo, hi in ((ylo, 0), (0, yhi)) if z == 0 else ((ylo, yhi),):
+                # disc, 2a - b1, b1, c1 at y = 0, y - index, z, y^2 and y factors.
+                table += (
+                    4 * a * bound - c2 * z * z, 2 * a - e * z, e * z, c * z * z,
+                    lo - total, z, -a2, 0, 0, b, -b2 * z, -f, f, d * z,
+                )
+                lens.append(max(hi - lo + 1, 0))
+                total += lens[-1]
+        if total and (total >= _ROWS or z == zmax):
+            table = np.array(table, dtype=dtype).reshape(-1, 14)
+            rows = np.repeat(table.T, lens, axis=1)
+            rows[4] += np.arange(total, dtype=dtype)
+            if admit is not None:
+                keep = admit[(rows[4] % m).astype(int), (rows[5] % m).astype(int)]
+                # Not rows[:, keep], which is F-ordered: each row stays
+                # contiguous for the whole-row operations below.
+                rows = np.compress(keep, rows, axis=1)
+                if origin is not None:
+                    origin = np.count_nonzero(keep[:origin]) if keep[origin] else None
+            y = rows[4]
+            horner = rows[6:10] * y
+            horner += rows[10:]
+            horner *= y
+            rows[:4] += horner
+            # xhi + 1 and -xlo: floor((s - b1 + 2a) / 2a), floor((s + b1) / 2a).
+            ends = rows[1:3] + _isqrt(rows[0], 4 * a * bound)
+            ends //= 2 * a
+            runs = rows[:6]
+            np.negative(ends[1], out=runs[0])
+            np.add(ends[0], ends[1], out=runs[1])
+            if origin is not None:
+                runs[1, origin] = runs[1, origin + 1] = ends[1, origin]
+                runs[0, origin + 1] = 1
+            yield runs
+            table, lens, origin, total = [], [], None, 0
+
+
+def _spread(a: int, runs: np.ndarray, ncoord: int) -> np.ndarray:
+    """Expand runs, an array of rows xlo, count, b1, c1, *coords, into the
+    int64 points (x, *coords[:ncoord], value), an F-ordered view, run by
+    run: x = xlo .. xlo + count - 1 at a*x^2 + b1*x + c1, in certified int64.
+    """
+    runs = runs.astype(np.int64, copy=False)
+    count = runs[1]
+    # xlo, the coordinates, b1 and c1, with xlo less its first point's index.
+    heads = runs[_HEADS[ncoord]]
+    heads[0] += count
+    heads[0] -= np.cumsum(count)
+    points = np.repeat(heads, count, axis=1)
+    x, val = points[0], points[-2]
+    x += np.arange(len(x), dtype=np.int64)
+    val += a * x
     val *= x
-    val += np.repeat(c1, count)
-    return out
+    val += points[-1]
+    return points[:-1].T
 
 
 def short_vectors(form: TernaryForm, bound: int, admit=None) -> np.ndarray:
     """All integer triples v != 0 with form(v) <= bound, with their values.
 
-    One (n, 4) int64 array of rows (x, y, z, value): the runs of _runs,
-    expanded by one _spread in their order.  An (m, m) boolean table
-    admit keeps only the rows (y, z) with admit[y % m, z % m] (see
-    _ternary_rows).  The int64 certificate (_certify_ternary) is checked
-    before any row is walked; a larger bound raises ValueError.
+    One (n, 4) int64 array of rows (x, y, z, value), _walk's runs in its
+    order by one _spread; admit is as for _walk.  The int64 certificate
+    (_certify_ternary) is checked before any row is built.
     """
-    _certify_ternary(form, bound)
-    return _spread(form.a, list(_runs(form, bound, admit)), 2)
+    dtype = _certify_ternary(form, bound)
+    blocks = list(_walk(form, bound, dtype, admit)) or [np.zeros((6, 0), np.int64)]
+    runs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    return np.ascontiguousarray(_spread(form.a, runs, 2))
 
 
 def _residue_table(constraint, arity: int):
@@ -303,23 +311,10 @@ def _histogram(trunc: int, points: np.ndarray, table) -> np.ndarray:
     return np.bincount(values, minlength=trunc + 1)
 
 
-# Points a streamed theta expands per batch.  An unconstrained batch,
-# its (x, value) rows and _spread's temporaries, peaks near 1 MB, inside
-# a 2 MB L2 cache; 2^14 and 2^16 were no faster on a 2-vCPU Xeon.
-_CHUNK = 1 << 15
-
-
-def _batches(runs):
-    """Group runs into lists of at least _CHUNK points, the last excepted."""
-    batch, size = [], 0
-    for run in runs:
-        batch.append(run)
-        size += run[1]
-        if size >= _CHUNK:
-            yield batch
-            batch, size = [], 0
-    if batch:
-        yield batch
+# Points a streamed theta expands per batch.  With blocks of _ROWS rows an
+# unconstrained theta peaks near 0.75 MB beside its counts; 2^15 points
+# and 2^12 rows ran 12% faster on a 2-vCPU Xeon but peaked near 1.8 MB.
+_CHUNK = 1 << 14
 
 
 def theta_series_ternary(
@@ -327,26 +322,26 @@ def theta_series_ternary(
 ) -> QSeries:
     """Theta series: coefficient of q^n counts triples with form value n.
 
-    The nonzero triples are those of short_vectors(form, trunc), walked
-    by the same _runs, but no array of them is built: batches of about
-    _CHUNK points are expanded and counted in turn, so memory is set by
-    _CHUNK and trunc, not by the number of points.
-    The constraint's arity, trunc >= 0 and the int64 certificate are
-    checked in that order, before any run is walked.  A constraint's
-    points are built only on the rows (y, z) whose residues some allowed
-    tuple has, and the full constraint keeps the points whose x it
-    allows too; without one, a point is only (x, value).  The origin is
-    counted by the same constraint rule.
+    The nonzero triples are those of short_vectors(form, trunc), but each
+    block of _walk is cut after the runs reaching each multiple of _CHUNK
+    points, and the batches are expanded and counted in turn.  The
+    constraint's arity, trunc >= 0 and the int64 certificate are checked
+    in that order, before any row is built.  A constraint walks only the
+    rows (y, z) whose residues some allowed tuple has and keeps the points
+    whose x it allows too; without one, a point is only (x, value).  The
+    origin is counted by the same constraint rule.
     """
     table = _residue_table(constraint, 3)
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
-    _certify_ternary(form, trunc)
-    admit = None if table is None else table.any(axis=0)
-    ncoord = 0 if table is None else 2
+    dtype = _certify_ternary(form, trunc)
+    admit, ncoord = (None, 0) if table is None else (table.any(axis=0), 2)
     counts = np.zeros(trunc + 1, dtype=np.int64)
-    for batch in _batches(_runs(form, trunc, admit)):
-        counts += _histogram(trunc, _spread(form.a, batch, ncoord), table)
+    for runs in _walk(form, trunc, dtype, admit):
+        # Cut after each run but the last whose end passes a multiple of _CHUNK.
+        cuts = np.flatnonzero(np.diff(np.cumsum(runs[1, :-1]) // _CHUNK, prepend=0))
+        for batch in np.split(runs, cuts + 1, axis=1):
+            counts += _histogram(trunc, _spread(form.a, batch, ncoord), table)
     counts[0] += 1 if table is None else int(table[0, 0, 0])
     return QSeries(trunc, counts)
 
@@ -383,7 +378,8 @@ def theta_series_binary(
         lo, hi = _x_range(a, b1, c1, trunc)
         if lo <= hi:
             rows.append((lo, hi - lo + 1, b1, c1, n))
-    points = _spread(a, rows, 1)
+    runs = np.array(rows, dtype=np.int64).reshape(len(rows), 5).T
+    points = _spread(a, runs, 1)
     negative = np.flatnonzero(points[:, 2] < 0)
     if len(negative):
         m, n, val = points[negative[0]].tolist()
@@ -395,17 +391,21 @@ def theta_series_binary(
 
 
 def rep_count_ternary(form: TernaryForm, n: int) -> int:
-    """Exact number of integer triples representing n."""
-    four_a, two_a = 4 * form.a, 2 * form.a
-    count = 0
-    for _y, _z, b1, c1 in _ternary_rows(form, n):
-        disc_x = b1 * b1 - four_a * (c1 - n)
-        s = isqrt(disc_x)
-        if s * s == disc_x:
-            # The roots x = (-b1 +- s) / 2a; each integral one counts once.
-            count += (s - b1) % two_a == 0
-            if s:
-                count += (-s - b1) % two_a == 0
+    """Exact number of integer triples representing n.
+
+    A point of value exactly n is a root of its row's quadratic, so it
+    ends its run of _walk(form, n): each run counts its first x and, when
+    longer, its last x at value n; the origin counts at n = 0.
+    """
+    try:
+        dtype = _certify_ternary(form, n)
+    except ValueError:  # beyond int64: the walk in Python ints
+        dtype = object
+    count = int(n == 0)
+    for runs in _walk(form, n, dtype):
+        xlo, length, b1, c1 = runs[:4]
+        for x, ok in ((xlo, length > 0), (xlo + length - 1, length > 1)):
+            count += int(np.count_nonzero(ok & ((form.a * x + b1) * x + c1 == n)))
     return count
 
 

@@ -18,7 +18,6 @@ from threesquares.genera import (
     genus_symbol,
     overlattice,
     require_odd_prime,
-    same_genus,
     tg1,
     tg2,
 )
@@ -27,6 +26,13 @@ TG1_23 = [(1, 6, 23, 0, 0, 1), (2, 3, 23, 0, 0, 1), (3, 8, 8, -7, 2, 2)]
 TG2_23 = [(4, 23, 24, 0, 4, 0), (8, 23, 12, 0, 4, 0), (3, 31, 31, -30, 2, 2)]
 TG1_17 = [(3, 5, 6, 1, 2, 3), (3, 6, 6, -5, 2, 2)]
 TG2_17 = [(7, 11, 20, -8, 4, 6), (3, 23, 23, -22, 2, 2)]
+
+
+def same_genus(f, g):
+    """Whether two forms of one discriminant share a genus symbol."""
+    if f.disc() != g.disc():
+        raise ValueError("genus comparison requires equal discriminants")
+    return genus_symbol(f) == genus_symbol(g)
 
 
 # -- tg2 by search: the code the overlattice construction replaced ----------

@@ -24,7 +24,7 @@ from threesquares.lattice import (
     theta_series_binary,
     theta_series_ternary,
 )
-from threesquares.lattice import _ternary_rows, _x_range
+from threesquares.lattice import _x_range
 from threesquares.catalog import T_FORM, X
 from threesquares.forms import enumerate_classes
 
@@ -49,13 +49,82 @@ def random_posdef(rng):
             continue
 
 
-# -- per-point reference: the loop code the array expansion replaced ---------
+# -- row reference: the Python row loop the array walk replaced --------------
+
+
+def ref_ternary_rows(form, bound, admit=None):
+    """Yield (y, z, b1, c1) for every row holding a triple of value <= bound.
+
+    On row (y, z) the value is a*x^2 + b1*x + c1.  Completing the square
+    in x (Fincke & Pohst, Math. Comp. 44, 1985) turns the bound into
+    P2(y,z) <= 4*a*bound, with P2 = (4ab-f^2) y^2 + (4ad-2ef) yz
+    + (4ac-e^2) z^2.  Rows come z ascending; with an (m, m) boolean table
+    admit, each admitted residue class of y is walked upwards in steps of
+    m, one class after another, and without it y simply ascends.
+    """
+    if bound < 0:
+        return
+    a, b, c, d, e, f = form.as_tuple()
+    a2 = 4 * a * b - f * f
+    b2 = 4 * a * d - 2 * e * f
+    c2 = 4 * a * c - e * e
+    zmax = isqrt(a2 * bound // form.disc())
+    if admit is None:
+        m, classes = 1, [(0,)]
+    else:
+        m = len(admit)
+        classes = [np.flatnonzero(admit[:, r]).tolist() for r in range(m)]
+    fm, bmm = f * m, 2 * b * m * m
+    for z in range(-zmax, zmax + 1):
+        residues = classes[z % m]
+        if not residues:
+            continue
+        ylo, yhi = _x_range(a2, b2 * z, c2 * z * z - 4 * a * bound, 0)
+        for r in residues:
+            y0 = ylo + (r - ylo) % m
+            b1 = f * y0 + e * z
+            c1 = b * y0 * y0 + c * z * z + d * y0 * z
+            step = m * (b * (2 * y0 + m) + d * z)
+            for y in range(y0, yhi + 1, m):
+                yield y, z, b1, c1
+                b1 += fm
+                c1 += step
+                step += bmm
+
+
+def ref_runs(form, bound, admit=None):
+    """Runs (xlo, count, b1, c1, y, z) of every triple v != 0 with value
+    <= bound, row by row of ref_ternary_rows, x ascending; the origin's
+    row is split in two runs, xlo..-1 and 1..-xlo."""
+    out = []
+    for y, z, b1, c1 in ref_ternary_rows(form, bound, admit):
+        xlo, xhi = _x_range(form.a, b1, c1, bound)
+        if y == z == 0:
+            out.append((xlo, -xlo, b1, c1, y, z))
+            xlo = 1
+        if xlo <= xhi:
+            out.append((xlo, xhi - xlo + 1, b1, c1, y, z))
+    return out
+
+
+def ref_rep_count(form, n):
+    """The row loop's count: each row with a square x-discriminant s^2
+    has the roots x = (-b1 +- s) / 2a, and each integral one counts."""
+    count = 0
+    for _y, _z, b1, c1 in ref_ternary_rows(form, n):
+        disc_x = b1 * b1 - 4 * form.a * (c1 - n)
+        s = isqrt(disc_x)
+        if s * s == disc_x:
+            count += (s - b1) % (2 * form.a) == 0
+            if s:
+                count += (-s - b1) % (2 * form.a) == 0
+    return count
 
 
 def ref_ternary_points(form, bound):
     """Yield (x, y, z, value) for all integer triples with value <= bound."""
     a = form.a
-    for y, z, b1, c1 in _ternary_rows(form, bound):
+    for y, z, b1, c1 in ref_ternary_rows(form, bound):
         xlo, xhi = _x_range(a, b1, c1, bound)
         val = a * xlo * xlo + b1 * xlo + c1
         step = a * (2 * xlo + 1) + b1
@@ -266,7 +335,7 @@ def test_ternary_checks_fail_before_any_run_or_array(monkeypatch):
     def no_walk(*args):
         raise AssertionError("runs walked before the checks")
 
-    monkeypatch.setattr(lattice, "_runs", no_walk)
+    monkeypatch.setattr(lattice, "_walk", no_walk)
     monkeypatch.setattr(lattice, "_spread", no_walk)
     huge = TernaryForm(1, 1, 1 << 62, 0, 0, 0)  # small values, huge terms
     pairs = Constraint(4, frozenset({(0, 1)}))
@@ -287,6 +356,135 @@ def test_ternary_checks_fail_before_any_run_or_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def walk_runs(form, bound, admit=None, dtype=np.int64):
+    """The nonempty runs of lattice._walk, as tuples in their order."""
+    blocks = list(lattice._walk(form, bound, dtype, admit))
+    runs = np.concatenate(blocks, axis=1) if blocks else np.zeros((6, 0))
+    return [tuple(r) for r in runs.T.tolist() if r[1] > 0]
+
+
+def expand_runs(a, runs):
+    """(x, y, z, value) rows of runs, one numpy range per run."""
+    rows = [np.zeros((0, 4), dtype=np.int64)]
+    for xlo, count, b1, c1, y, z in runs:
+        x = np.arange(xlo, xlo + count, dtype=np.int64)
+        yz = np.broadcast_to(np.array([y, z], dtype=np.int64), (count, 2))
+        rows.append(np.column_stack([x, yz, (a * x + b1) * x + c1]))
+    return np.concatenate(rows)
+
+
+@st.composite
+def admit_tables(draw):
+    """None, or an (m, m) boolean table of admitted (y, z) residues."""
+    if draw(st.booleans()):
+        return None
+    m = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    return np.array(cells, dtype=bool).reshape(m, m)
+
+
+@pytest.mark.parametrize("rows", [1, 7, lattice._ROWS])
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.tuples(*[st.integers(1, 9)] * 3, *[st.integers(-6, 6)] * 3),
+    bound=st.integers(0, 2000),
+    admit=admit_tables(),
+)
+@example(coeffs=(1, 1, 1, 0, 0, 0), bound=0, admit=None)
+@example(coeffs=(1, 1, 1, 0, 0, 0), bound=2000, admit=None)
+@example(coeffs=(2, 2, 2, -1, 1, 1), bound=1, admit=np.eye(4, dtype=bool))
+def test_array_walk_matches_the_row_loop(rows, coeffs, bound, admit):
+    # Equal nonempty runs in equal order, in int64 and in Python ints, at
+    # every block size.  The loop takes each z's admitted residue classes
+    # of y one after another; the walk takes y ascending, so with a table
+    # the loop's runs are sorted by (z, y), which keeps the origin's two
+    # runs in order.
+    a, b, c, d, e, f = coeffs
+    assume(4 * a * b > f * f)
+    assume(4 * a * b * c + d * e * f > a * d * d + b * e * e + c * f * f)
+    form = TernaryForm(*coeffs)
+    expected = [r for r in ref_runs(form, bound, admit) if r[1] > 0]
+    if admit is not None:
+        expected.sort(key=lambda r: (r[5], r[4]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_ROWS", rows)
+        assert walk_runs(form, bound, admit) == expected
+        assert walk_runs(form, bound, admit, object) == expected
+        vectors = short_vectors(form, bound, admit)
+    assert vectors.flags.c_contiguous and vectors.dtype == np.int64
+    assert np.array_equal(vectors, expand_runs(form.a, expected))
+    assert rep_count_ternary(form, bound) == ref_rep_count(form, bound)
+
+
+def _squares_and_neighbours(ks):
+    return [k * k + i for k in ks for i in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # Next to 2^50, below which the float root's floor goes uncorrected.
+        _squares_and_neighbours([2**25 - 2, 2**25 - 1]),
+        # Next to 2^53 = (2^26.5)^2, where float64 stops holding every integer.
+        _squares_and_neighbours([94906265, 94906266, 94906267]),
+        # Next to the 2^62 edge of the int64 rows.
+        _squares_and_neighbours([2**31 - 2, 2**31 - 1]) + [2**62 - 1],
+    ],
+)
+def test_isqrt_is_exact_next_to_squares(values):
+    # top = the largest entry, so each group takes the path its size picks.
+    n = np.array(values, dtype=np.int64)
+    expected = [isqrt(v) for v in values]
+    assert lattice._isqrt(n, max(values)).tolist() == expected
+    assert lattice._isqrt(n.astype(object), max(values)).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(-3, 3))
+def test_isqrt_matches_math_isqrt(k, offset):
+    n = min(max(k * k + offset, 0), 2**62 - 1)
+    assert lattice._isqrt(np.array([n], dtype=np.int64), n).tolist() == [isqrt(n)]
+
+
+def largest_certified_bound(form):
+    lo, hi = 0, 1 << 62  # _certify_ternary passes at lo and fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            lattice._certify_ternary(form, mid)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def test_walk_at_the_largest_certified_bound():
+    # z^2 carries nearly 2^62 alone, so the largest bound _certify_ternary
+    # admits is small and holds few points; there 4*a*(worst + bound)
+    # passes 2^62, and the rows are walked in Python ints.
+    form = TernaryForm(1, 1, 2**62 - 2**14, 0, 0, 0)
+    top = largest_certified_bound(form)
+    assert 4000 < top < 10000
+    assert lattice._certify_ternary(form, top) is object
+    with pytest.raises(ValueError, match="int64"):
+        short_vectors(form, top + 1)
+    runs = ref_runs(form, top)
+    assert np.array_equal(short_vectors(form, top), expand_runs(form.a, runs))
+    assert theta_series_ternary(form, top) == ref_theta_ternary(form, top)
+    assert rep_count_ternary(form, top) == ref_rep_count(form, top)
+    # x^2 + y^2 + z^2 walks in int64 far past any walk that can finish.
+    assert lattice._certify_ternary(identity_form(), 2**55) is np.int64
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 5])
+def test_rep_count_past_the_int64_certificate(n):
+    # No certificate holds here, yet the count is exact in Python ints.
+    form = TernaryForm(1, 1, 1 << 62, 0, 0, 0)
+    with pytest.raises(ValueError, match="int64"):
+        lattice._certify_ternary(form, max(n, 0))
+    assert rep_count_ternary(form, n) == ref_rep_count(form, n)
 
 
 def test_rep_count_examples():
