@@ -30,8 +30,8 @@ DEFAULT_ORDER = 1000
 USAGE_ERROR = 2
 
 # count walks every (y, z) row of the ellipsoid as arrays, about pi*n rows
-# for x^2 + y^2 + z^2: 10^7 takes about 1.7 s on a 2-vCPU Xeon and 10^6
-# 0.55 s, each with 0.3 s of start-up.
+# for x^2 + y^2 + z^2: 10^7 takes about 1.5 s on a 2-vCPU Xeon and 10^6
+# 0.4 s, each with 0.3 s of start-up.
 COUNT_MAX_N = 10**7
 
 # tg1(p) classifies every form of discriminant p^2, in time growing about

@@ -4,10 +4,10 @@ Ternary forms are written a*x^2 + b*y^2 + c*z^2 + d*yz + e*zx + f*xy and
 binary forms a*m^2 + b*mn + c*n^2, optionally with a linear part (u, v)
 and a constant shift added to the exponent.  Every enumeration bound is
 exact: isqrt of an exact discriminant, in Python ints or, in the ternary
-array walk, a float root corrected by exact integer steps (_isqrt).
+array walk, a rounded float root corrected by one exact step (_isqrt).
 
 Points come from one run generator per arity (_walk, the ternary rows as
-arrays one block of z at a time; the n-loop of theta_series_binary) and
+arrays, at most _ROWS at a time; the n-loop of theta_series_binary) and
 one expansion of runs into int64 arrays, _spread.  Every caller proves
 its int64 bound before expanding, or raises ValueError.  short_vectors
 expands all its runs into one array; the ternary theta counts about
@@ -136,7 +136,7 @@ def _x_range(aa: int, bb: int, cc: int, n: int):
     return -((bb + s) // (2 * aa)), (-bb + s) // (2 * aa)
 
 
-# Rows a block of _walk reaches before it ends, at about 150 bytes each.
+# Rows of a block of _walk, at about 150 bytes each.
 _ROWS = 1 << 10
 # The rows of a run that _spread repeats for ncoord coordinates.
 _HEADS = {k: np.array([0, *range(4, 4 + k), 2, 3]) for k in range(3)}
@@ -166,90 +166,89 @@ def _certify_ternary(form: TernaryForm, bound: int) -> type:
     return np.int64 if 4 * a * (worst + n) + b1 * b1 < _INT64_SAFE else object
 
 
-def _isqrt(n: np.ndarray, top: int) -> np.ndarray:
-    """isqrt of each entry of n, all in [0, top]: int64, top < 2^62, or
-    Python ints.  Below 2^62, rounding n to float64 and the rounded sqrt
-    each move the root by a relative 2^-53 at most, so the float root is
-    within sqrt(n) * 2^-52 < 2^-21 of the true one and its floor within
-    one of isqrt(n); one exact step each way corrects it, and s + 1 <=
-    2^31 + 1 squares below 2^63.  Below 2^50 the floor is exact: t =
-    isqrt(n) < 2^25 has sqrt(n) < t + 1 - 1/(2t + 2) <= t + 1 - 2^-26,
-    and floats below t + 1 lie at most 2^-28 apart.
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """isqrt of each entry of n >= 0: int64 below 2^62, or Python ints.
+
+    Below 2^62, n and its float sqrt each round by a relative 2^-53, so
+    the float root is within sqrt(n) * 2^-52 < 2^-21 of the true one:
+    its nearest integer k is isqrt(n) or isqrt(n) + 1, and one exact
+    step, k^2 > n (k <= 2^31 squares below 2^63), tells which.
     """
     if n.dtype == object:
         return np.frompyfunc(isqrt, 1, 1)(n)
-    s = np.sqrt(n).astype(np.int64)
-    if top >= 1 << 50:
-        s -= s * s > n
-        s += (s + 1) * (s + 1) <= n
+    s = np.rint(np.sqrt(n)).astype(np.int64)
+    s -= s * s > n
     return s
 
 
-def _walk(form: TernaryForm, bound: int, dtype, admit=None):
-    """Yield runs covering every triple v != 0 with form(v) <= bound, one
-    block of z at a time, as arrays of shape (6, k) with rows xlo, count,
-    b1, c1, y, z: z ascending, then y, each run x ascending.
+def _walk(form: TernaryForm, bound: int, dtype, admit=None, rows=None):
+    """Yield runs covering every triple v != 0 with form(v) <= bound, in
+    blocks of at most rows (or _ROWS) rows, as arrays of shape (6, k) with
+    rows xlo, count, b1, c1, y, z: z ascending, then y, x ascending.
 
     On row (y, z) the value is a*x^2 + b1*x + c1, and its run is x = xlo
     .. xlo + count - 1 by _x_range's floors on s = isqrt(disc), disc =
     b1^2 - 4*a*(c1 - bound) = 4*a*bound - P2(y, z) by completing the
     square (Fincke & Pohst, Math. Comp. 44, 1985).  The rows of a z are
     y = ylo..yhi by the floors on P2's discriminant in y, 16*a*((4ab-f^2)
-    *bound - disc(form)*z^2) >= 0, in Python ints.  Per block of _ROWS or
-    more rows, disc, 2a - b1, b1 and c1 are quadratics in y with per-z
-    coefficients, taken at once in dtype.  The origin's row comes twice,
-    split in the runs xlo..-1 and 1..-xlo; runs and blocks may be empty.
-    An (m, m) boolean table admit keeps the rows with admit[y % m, z % m].
+    *bound - disc(form)*z^2) >= 0, in Python ints, cut to fill blocks.
+    The origin's row comes twice, as runs xlo..-1 and 1..-xlo; runs may
+    be empty.  An (m, m) boolean table admit keeps rows admit[y % m, z % m].
     """
     if bound < 0:
         return
     a, b, c, d, e, f = form.as_tuple()
     a2, b2, c2 = 4 * a * b - f * f, 4 * a * d - 2 * e * f, 4 * a * c - e * e
     top, step = 16 * a * a2 * bound, 16 * a * form.disc()
-    zmax = isqrt(top // step)
+    zmax, rows = isqrt(top // step), rows or _ROWS
     m, some_y = (1, [True]) if admit is None else (len(admit), admit.any(0).tolist())
-    table, lens, origin, total = [], [], None, 0
-    for z in range(-zmax, zmax + 1):
-        if some_y[z % m]:
-            root = isqrt(top - step * z * z)
-            ylo, yhi = -((b2 * z + root) // (2 * a2)), (root - b2 * z) // (2 * a2)
-            if z == 0:
-                origin = total - ylo
-            for lo, hi in ((ylo, 0), (0, yhi)) if z == 0 else ((ylo, yhi),):
+    table, lens, halves, total = [], [], [], 0
+    for z in (z for z in range(-zmax, zmax + 1) if some_y[z % m]):
+        root = isqrt(top - step * z * z)
+        ylo, yhi = -((b2 * z + root) // (2 * a2)), (root - b2 * z) // (2 * a2)
+        pieces = ((ylo, 0), (0, yhi)) if z == 0 else ((ylo, yhi),)
+        for half, (lo, hi) in enumerate(pieces):
+            while lo <= hi:
+                k = min(hi - lo + 1, rows - total)
+                if z == 0 and lo <= 0 < lo + k:
+                    halves.append((total - lo, half))
                 # disc, 2a - b1, b1, c1 at y = 0, y - index, z, y^2 and y factors.
                 table += (
                     4 * a * bound - c2 * z * z, 2 * a - e * z, e * z, c * z * z,
                     lo - total, z, -a2, 0, 0, b, -b2 * z, -f, f, d * z,
                 )
-                lens.append(max(hi - lo + 1, 0))
-                total += lens[-1]
-        if total and (total >= _ROWS or z == zmax):
-            table = np.array(table, dtype=dtype).reshape(-1, 14)
-            rows = np.repeat(table.T, lens, axis=1)
-            rows[4] += np.arange(total, dtype=dtype)
-            if admit is not None:
-                keep = admit[(rows[4] % m).astype(int), (rows[5] % m).astype(int)]
-                # Not rows[:, keep], which is F-ordered: each row stays
-                # contiguous for the whole-row operations below.
-                rows = np.compress(keep, rows, axis=1)
-                if origin is not None:
-                    origin = np.count_nonzero(keep[:origin]) if keep[origin] else None
-            y = rows[4]
-            horner = rows[6:10] * y
-            horner += rows[10:]
-            horner *= y
-            rows[:4] += horner
-            # xhi + 1 and -xlo: floor((s - b1 + 2a) / 2a), floor((s + b1) / 2a).
-            ends = rows[1:3] + _isqrt(rows[0], 4 * a * bound)
-            ends //= 2 * a
-            runs = rows[:6]
-            np.negative(ends[1], out=runs[0])
-            np.add(ends[0], ends[1], out=runs[1])
-            if origin is not None:
-                runs[1, origin] = runs[1, origin + 1] = ends[1, origin]
-                runs[0, origin + 1] = 1
-            yield runs
-            table, lens, origin, total = [], [], None, 0
+                lens.append(k)
+                total, lo = total + k, lo + k
+                if total == rows:
+                    yield _block(a, dtype, table, lens, halves, admit)
+                    table, lens, halves, total = [], [], [], 0
+    if total:
+        yield _block(a, dtype, table, lens, halves, admit)
+
+
+def _block(a: int, dtype, table: list, lens: list, halves: list, admit):
+    """_walk's runs from its pieces' table rows, lens and origin halves."""
+    rows = np.array(table, dtype=dtype).reshape(-1, 14).T.repeat(lens, axis=1)
+    rows[4] += np.arange(rows.shape[1], dtype=dtype)
+    if admit is not None:
+        m = len(admit)
+        keep = admit[(rows[4] % m).astype(int), (rows[5] % m).astype(int)]
+        # Unlike the F-ordered rows[:, keep], compress keeps rows contiguous.
+        rows = np.compress(keep, rows, axis=1)
+        halves = [(np.count_nonzero(keep[:i]), h) for i, h in halves if keep[i]]
+    horner = rows[6:10] * rows[4]
+    horner += rows[10:]
+    horner *= rows[4]
+    rows[:4] += horner
+    # xhi + 1 and -xlo: floor((s - b1 + 2a) / 2a), floor((s + b1) / 2a).
+    ends = rows[1:3] + _isqrt(rows[0])
+    ends //= 2 * a
+    runs = rows[:6]
+    np.negative(ends[1], out=runs[0])
+    np.add(ends[0], ends[1], out=runs[1])
+    for i, half in halves:  # the origin's xlo..-1, then 1..-xlo
+        runs[0, i], runs[1, i] = 1 if half else runs[0, i], ends[1, i]
+    return runs
 
 
 def _spread(a: int, runs: np.ndarray, ncoord: int) -> np.ndarray:
@@ -260,10 +259,10 @@ def _spread(a: int, runs: np.ndarray, ncoord: int) -> np.ndarray:
     runs = runs.astype(np.int64, copy=False)
     count = runs[1]
     # xlo, the coordinates, b1 and c1, with xlo less its first point's index.
-    heads = runs[_HEADS[ncoord]]
+    heads = runs.take(_HEADS[ncoord], axis=0)
     heads[0] += count
-    heads[0] -= np.cumsum(count)
-    points = np.repeat(heads, count, axis=1)
+    heads[0] -= count.cumsum()
+    points = heads.repeat(count, axis=1)
     x, val = points[0], points[-2]
     x += np.arange(len(x), dtype=np.int64)
     val += a * x
@@ -395,14 +394,15 @@ def rep_count_ternary(form: TernaryForm, n: int) -> int:
 
     A point of value exactly n is a root of its row's quadratic, so it
     ends its run of _walk(form, n): each run counts its first x and, when
-    longer, its last x at value n; the origin counts at n = 0.
+    longer, its last x at value n; the origin counts at n = 0.  Holding no
+    points, it walks blocks of 16 * _ROWS rows (a 4.5 MB peak).
     """
     try:
         dtype = _certify_ternary(form, n)
     except ValueError:  # beyond int64: the walk in Python ints
         dtype = object
     count = int(n == 0)
-    for runs in _walk(form, n, dtype):
+    for runs in _walk(form, n, dtype, rows=16 * _ROWS):
         xlo, length, b1, c1 = runs[:4]
         for x, ok in ((xlo, length > 0), (xlo + length - 1, length > 1)):
             count += int(np.count_nonzero(ok & ((form.a * x + b1) * x + c1 == n)))

@@ -418,6 +418,35 @@ def test_array_walk_matches_the_row_loop(rows, coeffs, bound, admit):
     assert rep_count_ternary(form, bound) == ref_rep_count(form, bound)
 
 
+@pytest.mark.parametrize("admit", [None, np.eye(3, dtype=bool)])
+def test_blocks_are_bounded_in_rows_within_one_z(admit):
+    # (k^2, 1, c, 0, 0, 2k - 1) with c past the bound walks z = 0 alone,
+    # on about 2*sqrt(k*bound) rows.  A block never holds more than
+    # _ROWS of them; at _ROWS = 1 - ylo the origin's first half ends one
+    # block and its second half starts the next.
+    k, bound = 30, 500
+    form = TernaryForm(k * k, 1, bound + 1, 0, 0, 2 * k - 1)
+    rows = list(ref_ternary_rows(form, bound))
+    assert {z for _y, z, _b1, _c1 in rows} == {0} and len(rows) > 200
+    ylo = min(y for y, *_ in rows)
+    expected = [r for r in ref_runs(form, bound, admit) if r[1] > 0]
+    for size in (1, 64, 1 - ylo, lattice._ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_ROWS", size)
+            blocks = list(lattice._walk(form, bound, np.int64, admit))
+            assert max(block.shape[1] for block in blocks) <= size
+            if admit is None:
+                assert sum(block.shape[1] for block in blocks) == len(rows) + 1
+            assert walk_runs(form, bound, admit) == expected
+            assert walk_runs(form, bound, admit, object) == expected
+            vectors = short_vectors(form, bound, admit)
+            theta = theta_series_ternary(form, bound)
+            count = rep_count_ternary(form, bound)
+        assert np.array_equal(vectors, expand_runs(form.a, expected))
+        assert theta == ref_theta_ternary(form, bound)
+        assert count == ref_rep_count(form, bound)
+
+
 def _squares_and_neighbours(ks):
     return [k * k + i for k in ks for i in (-1, 0, 1)]
 
@@ -425,7 +454,7 @@ def _squares_and_neighbours(ks):
 @pytest.mark.parametrize(
     "values",
     [
-        # Next to 2^50, below which the float root's floor goes uncorrected.
+        # Next to 2^50.
         _squares_and_neighbours([2**25 - 2, 2**25 - 1]),
         # Next to 2^53 = (2^26.5)^2, where float64 stops holding every integer.
         _squares_and_neighbours([94906265, 94906266, 94906267]),
@@ -434,18 +463,17 @@ def _squares_and_neighbours(ks):
     ],
 )
 def test_isqrt_is_exact_next_to_squares(values):
-    # top = the largest entry, so each group takes the path its size picks.
     n = np.array(values, dtype=np.int64)
     expected = [isqrt(v) for v in values]
-    assert lattice._isqrt(n, max(values)).tolist() == expected
-    assert lattice._isqrt(n.astype(object), max(values)).tolist() == expected
+    assert lattice._isqrt(n).tolist() == expected
+    assert lattice._isqrt(n.astype(object)).tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(-3, 3))
 def test_isqrt_matches_math_isqrt(k, offset):
     n = min(max(k * k + offset, 0), 2**62 - 1)
-    assert lattice._isqrt(np.array([n], dtype=np.int64), n).tolist() == [isqrt(n)]
+    assert lattice._isqrt(np.array([n], dtype=np.int64)).tolist() == [isqrt(n)]
 
 
 def largest_certified_bound(form):
