@@ -11,12 +11,10 @@ automorph-weighted counting identity.
 from .qseries import (
     QSeries,
     TruncationMismatch,
-    euler_e,
     monomial,
     one,
     prod_ap,
     theta_f,
-    theta_f_product,
     zero,
 )
 from .lattice import (
@@ -34,7 +32,6 @@ from .forms import (
     automorph_count,
     automorphs,
     enumerate_classes,
-    equivalent_forms,
     legendre,
     reduce_form,
     reduce_form_with_transform,
@@ -69,12 +66,10 @@ __version__ = "0.1.0"
 __all__ = [
     "QSeries",
     "TruncationMismatch",
-    "euler_e",
     "monomial",
     "one",
     "prod_ap",
     "theta_f",
-    "theta_f_product",
     "zero",
     "BinaryForm",
     "Constraint",
@@ -88,7 +83,6 @@ __all__ = [
     "automorph_count",
     "automorphs",
     "enumerate_classes",
-    "equivalent_forms",
     "legendre",
     "reduce_form",
     "reduce_form_with_transform",

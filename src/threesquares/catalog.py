@@ -155,10 +155,6 @@ _PLAN: dict = {}
 _LEAVES = frozenset({"f", "prodap", "zero", "q", "theta3", "theta2"})
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
 def _children(expr: tuple, order: int) -> list:
     """The (subtree, order) pairs evaluate(expr, order) asks for.
 

@@ -36,8 +36,6 @@ from .qseries import _INT64_SAFE
 
 Matrix = tuple[tuple[int, int, int], ...]
 
-IDENTITY: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 
 def mat_mul(u: Matrix, v: Matrix) -> Matrix:
     return tuple(
@@ -56,23 +54,6 @@ def mat_det(u: Matrix) -> int:
 
 def mat_transpose(u: Matrix) -> Matrix:
     return tuple(tuple(u[j][i] for j in range(3)) for i in range(3))
-
-
-def mat_inverse_unimodular(u: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1 (adjugate / det)."""
-    det = mat_det(u)
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # Cyclic index order makes the 2x2 determinant the signed cofactor.
-    cof = tuple(
-        tuple(
-            u[(i + 1) % 3][(j + 1) % 3] * u[(i + 2) % 3][(j + 2) % 3]
-            - u[(i + 1) % 3][(j + 2) % 3] * u[(i + 2) % 3][(j + 1) % 3]
-            for i in range(3)
-        )
-        for j in range(3)
-    )
-    return tuple(tuple(det * cof[i][j] for j in range(3)) for i in range(3))
 
 
 def apply_transform(form: TernaryForm, u: Matrix) -> TernaryForm:
@@ -154,6 +135,7 @@ def reduce_form_with_transform(form: TernaryForm) -> tuple[TernaryForm, Matrix]:
     bound = d // (3 * lam1 * lam2) + lam2 + 1
     if bound > top:
         vecs = short_vectors(form, bound)
+        _certify(form, vecs[:, :3])
     found = _reduce_search(form, lam1, lam2, vecs)
     assert found is not None, "reduction search must find a basis"
     best, best_basis = found
@@ -170,7 +152,8 @@ _SEARCH_BLOCK = 1 << 16
 def _reduce_search(form, lam1, lam2, vecs):
     """Smallest (c, d, e, f) over bases with values (lam1, lam2, c), or None.
 
-    vecs is a short_vectors array reaching at least lam2.
+    vecs is a short_vectors array reaching at least lam2, already
+    passed through _certify.
 
     Pairs (v1, v2) and third vectors keep the enumeration order of
     short_vectors, and ties resolve to the first basis in that order.
@@ -179,7 +162,6 @@ def _reduce_search(form, lam1, lam2, vecs):
     stops at the first block that holds a unimodular basis.
     """
     v, vals = vecs[:, :3], vecs[:, 3]
-    _certify(form, v)
     g = np.array(form.gram2(), dtype=np.int64)
     v1, v2 = v[vals == lam1], v[vals == lam2]
     fmat = v1 @ g @ v2.T
@@ -215,19 +197,6 @@ def _reduce_search(form, lam1, lam2, vecs):
 
 def reduce_form(form: TernaryForm) -> TernaryForm:
     return reduce_form_with_transform(form)[0]
-
-
-def equivalent_forms(f: TernaryForm, g: TernaryForm):
-    """A unimodular U with U^T G_f U = G_g, or None when inequivalent."""
-    if f.disc() != g.disc():
-        return None
-    cf, uf = reduce_form_with_transform(f)
-    cg, ug = reduce_form_with_transform(g)
-    if cf != cg:
-        return None
-    u = mat_mul(uf, mat_inverse_unimodular(ug))
-    assert apply_transform(f, u) == g
-    return u
 
 
 def automorphs(form: TernaryForm) -> list[Matrix]:

@@ -46,7 +46,7 @@ class TernaryForm:
         a, b, c, d, e, f = self.as_tuple()
         if a <= 0 or 4 * a * b - f * f <= 0:
             return False
-        return self.gram2_det() > 0
+        return self.disc() > 0
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
@@ -56,15 +56,10 @@ class TernaryForm:
         a, b, c, d, e, f = self.as_tuple()
         return ((2 * a, f, e), (f, 2 * b, d), (e, d, 2 * c))
 
-    def gram2_det(self) -> int:
-        a, b, c, d, e, f = self.as_tuple()
-        return 2 * (4 * a * b * c + d * e * f - a * d * d - b * e * e - c * f * f)
-
     def disc(self) -> int:
-        """Half the determinant of the doubled Gram matrix (always integral)."""
-        det = self.gram2_det()
-        assert det % 2 == 0
-        return det // 2
+        """Half the determinant of the doubled Gram matrix."""
+        a, b, c, d, e, f = self.as_tuple()
+        return 4 * a * b * c + d * e * f - a * d * d - b * e * e - c * f * f
 
     def value(self, x: int, y: int, z: int) -> int:
         a, b, c, d, e, f = self.as_tuple()
@@ -72,11 +67,6 @@ class TernaryForm:
             a * x * x + b * y * y + c * z * z
             + d * y * z + e * z * x + f * x * y
         )
-
-    def bilinear(self, u, v) -> int:
-        """u^T G v for the doubled Gram G, i.e. Q(u+v) - Q(u) - Q(v)."""
-        g = self.gram2()
-        return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
 
     def __str__(self) -> str:
         return "({},{},{},{},{},{})".format(*self.as_tuple())
@@ -351,10 +341,15 @@ def theta_series_binary(
     """Theta series of a binary form, affine part included in the exponent.
 
     One _spread run of m per admissible n.  Both |m| and |n| are at most
-    xm (complete the square in the other variable), which certifies int64
-    before any array is built.  A failed bound raises ValueError, as does
-    an affine instance that reaches a negative exponent.
+    xm (complete the square in the other variable), which gives the int64
+    certificate.  The constraint's arity, trunc >= 0 and that certificate
+    are checked in that order, before any row is built.  A failed check
+    raises ValueError, as does an affine instance that reaches a negative
+    exponent.
     """
+    table = _residue_table(constraint, 2)
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
     a, b, c = bform.as_tuple()
     u, v = bform.linear
     w = bform.const
@@ -383,9 +378,6 @@ def theta_series_binary(
     if len(negative):
         m, n, val = points[negative[0]].tolist()
         raise ValueError(f"affine exponent {val} is negative at (m,n)=({m},{n})")
-    table = _residue_table(constraint, 2)
-    if trunc < 0:
-        raise ValueError("truncation order must be >= 0")
     return QSeries(trunc, _histogram(trunc, points, table))
 
 

@@ -374,22 +374,6 @@ def theta_f(r: int, s: int, trunc: int) -> QSeries:
     return QSeries(trunc, np.bincount(e, minlength=trunc + 1))
 
 
-def theta_f_product(r: int, s: int, trunc: int) -> QSeries:
-    """Product form of theta_f via the triple product expansion."""
-    if r < 1 or s < 1:
-        raise ValueError("theta parameters must be positive")
-    return prod_ap(
-        [(r + s, r, 1, 1), (r + s, s, 1, 1), (r + s, r + s, -1, 1)], trunc
-    )
-
-
-def euler_e(step: int, trunc: int) -> QSeries:
-    """Product of (1 - q^(step*j)) over j >= 1, expanded exactly."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    return prod_ap([(step, step, -1, 1)], trunc)
-
-
 def prod_ap(factors, trunc: int) -> QSeries:
     """Expand a product of factors (1 + sign*q^(a*j+b))^e, j >= 0.
 

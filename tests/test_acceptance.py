@@ -26,7 +26,6 @@ from threesquares.catalog import catalog, evaluate
 from threesquares.forms import (
     apply_transform,
     enumerate_classes,
-    equivalent_forms,
     reduce_form,
 )
 from threesquares.genera import find_h, find_h_between, genus_partition, tg1, tg2
@@ -41,7 +40,8 @@ from threesquares.verify import (
     verify_theorems,
 )
 
-from test_forms import random_unimodular
+from test_forms import equivalent_forms, random_unimodular
+from test_qseries import theta_f_product
 
 
 def canon(t):
@@ -231,7 +231,7 @@ def test_criterion_9_property_suites():
     # Triple product equality on the parameter grid at order 300.
     for r in range(1, 7):
         for s in range(r, 7):
-            assert qs.theta_f(r, s, 300) == qs.theta_f_product(r, s, 300)
+            assert qs.theta_f(r, s, 300) == theta_f_product(r, s, 300)
     # Dissection completeness of the sifting operator.
     rng = random.Random(99)
     for _ in range(20):

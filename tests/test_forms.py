@@ -13,7 +13,6 @@ from threesquares.lattice import (
     theta_series_ternary,
 )
 from threesquares.forms import (
-    IDENTITY,
     _candidates,
     _icbrt,
     _scan_bound_b,
@@ -21,11 +20,9 @@ from threesquares.forms import (
     automorph_count,
     automorphs,
     enumerate_classes,
-    equivalent_forms,
     is_prime,
     legendre,
     mat_det,
-    mat_inverse_unimodular,
     mat_mul,
     mat_transpose,
     reduce_form,
@@ -35,6 +32,44 @@ from threesquares.forms import (
 from test_lattice import ref_ternary_points
 
 I3 = TernaryForm(1, 1, 1, 0, 0, 0)
+
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def mat_inverse_unimodular(u):
+    """Inverse of an integer matrix with determinant +-1 (adjugate / det)."""
+    det = mat_det(u)
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    # Cyclic index order makes the 2x2 determinant the signed cofactor.
+    cof = tuple(
+        tuple(
+            u[(i + 1) % 3][(j + 1) % 3] * u[(i + 2) % 3][(j + 2) % 3]
+            - u[(i + 1) % 3][(j + 2) % 3] * u[(i + 2) % 3][(j + 1) % 3]
+            for i in range(3)
+        )
+        for j in range(3)
+    )
+    return tuple(tuple(det * cof[i][j] for j in range(3)) for i in range(3))
+
+
+def equivalent_forms(f, g):
+    """A unimodular U with U^T G_f U = G_g, or None when inequivalent."""
+    if f.disc() != g.disc():
+        return None
+    cf, uf = reduce_form_with_transform(f)
+    cg, ug = reduce_form_with_transform(g)
+    if cf != cg:
+        return None
+    u = mat_mul(uf, mat_inverse_unimodular(ug))
+    assert apply_transform(f, u) == g
+    return u
+
+
+def bilinear(form, u, v):
+    """u^T G v for the doubled Gram G, i.e. Q(u+v) - Q(u) - Q(v)."""
+    g = form.gram2()
+    return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
 
 
 def random_unimodular(rng, steps=6):
@@ -273,7 +308,7 @@ def _ref_minima(form):
 
 
 def ref_reduce_search(form, lam1, lam2, bound):
-    # form.bilinear(u, v) with u^T G taken once per vector: same values.
+    # bilinear(form, u, v) with u^T G taken once per vector: same values.
     g = form.gram2()
 
     def row(u):
@@ -358,6 +393,24 @@ def test_int64_certificates_fail_at_once():
         short_vectors(I3, 2**62)
 
 
+def test_each_short_vector_array_is_certified_once(monkeypatch):
+    calls = {"short_vectors": 0, "_certify": 0}
+
+    def counted(name):
+        inner = getattr(forms, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(forms, name, counted(name))
+    for t in sorted(_candidates(4624)):
+        reduce_form(TernaryForm(*t))
+    assert calls["_certify"] == calls["short_vectors"] > 0
+
 # -- Gauss's bound: the narrowed scan keeps a form of every class -----------
 
 
@@ -416,12 +469,12 @@ def ref_automorphs(form):
     result = []
     for v1 in by_value.get(a, ()):
         for v2 in by_value.get(b, ()):
-            if form.bilinear(v1, v2) != f:
+            if bilinear(form, v1, v2) != f:
                 continue
             for v3 in by_value.get(c, ()):
-                if form.bilinear(v1, v3) != e:
+                if bilinear(form, v1, v3) != e:
                     continue
-                if form.bilinear(v2, v3) != d:
+                if bilinear(form, v2, v3) != d:
                     continue
                 result.append(mat_transpose((v1, v2, v3)))
     return result

@@ -314,15 +314,20 @@ def test_binary_int64_certificate_fails_before_any_array(monkeypatch):
 
     monkeypatch.setattr(lattice, "_spread", no_expansion)
     shifted = 1 << 40  # (m + 2^40)^2 + n^2: small values, huge m
+    triples = Constraint(2, frozenset({(0, 0, 0)}))
+    # Arity, then trunc >= 0, then the int64 certificate, as in the ternary.
     cases = [
-        (BinaryForm(1, 0, 1), 1 << 62),
-        (BinaryForm(1, 0, 1, (2 * shifted, 0), shifted * shifted), 10),
+        (BinaryForm(1, 0, 1), 1 << 62, None, "int64"),
+        (BinaryForm(1, 0, 1, (2 * shifted, 0), shifted * shifted), 10, None, "int64"),
+        (BinaryForm(1, 0, 1), 10**6, triples, "constraint arity"),
+        (BinaryForm(1, 0, 1), 1 << 62, triples, "constraint arity"),
+        (BinaryForm(1, 0, 1, (0, 0), -5), -1, None, "truncation order must be >= 0"),
     ]
     tracemalloc.start()
     try:
-        for bform, trunc in cases:
-            with pytest.raises(ValueError, match="int64"):
-                theta_series_binary(bform, trunc)
+        for bform, trunc, constraint, message in cases:
+            with pytest.raises(ValueError, match=message):
+                theta_series_binary(bform, trunc, constraint)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

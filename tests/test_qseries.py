@@ -39,6 +39,18 @@ def psi_series(trunc, k=1):
     return qs.theta_f(k, 3 * k, trunc)
 
 
+def euler_e(step, trunc):
+    """Product of (1 - q^(step*j)) over j >= 1, expanded exactly."""
+    return qs.prod_ap([(step, step, -1, 1)], trunc)
+
+
+def theta_f_product(r, s, trunc):
+    """f(q^r, q^s) as its Jacobi triple product."""
+    return qs.prod_ap(
+        [(r + s, r, 1, 1), (r + s, s, 1, 1), (r + s, r + s, -1, 1)], trunc
+    )
+
+
 def series(coeffs):
     return QSeries(len(coeffs) - 1, tuple(coeffs))
 
@@ -80,11 +92,11 @@ def test_euler_product_matches_pentagonal_expansion():
         for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
             if e <= 12:
                 expected[e] = (-1) ** j
-    assert qs.euler_e(1, 12).coeffs == tuple(expected)
+    assert euler_e(1, 12).coeffs == tuple(expected)
 
 
 def test_partition_generating_series():
-    inv = qs.one(12).divide_exact(qs.euler_e(1, 12))
+    inv = qs.one(12).divide_exact(euler_e(1, 12))
     for n in range(13):
         assert inv[n] == partitions_into(n, range(1, 13))
     assert inv[5] == 7
@@ -115,18 +127,18 @@ def test_prod_ap_negative_exponent_inverts():
 def test_jacobi_triple_product_small_grid():
     for r in range(1, 5):
         for s in range(r, 5):
-            assert qs.theta_f(r, s, 120) == qs.theta_f_product(r, s, 120)
+            assert qs.theta_f(r, s, 120) == theta_f_product(r, s, 120)
 
 
 def test_phi_psi_eta_quotients():
     n = 500
     phi_quot = (
-        qs.euler_e(2, n)
+        euler_e(2, n)
         .pow(5)
-        .divide_exact(qs.euler_e(4, n).pow(2) * qs.euler_e(1, n).pow(2))
+        .divide_exact(euler_e(4, n).pow(2) * euler_e(1, n).pow(2))
     )
     assert phi_quot == phi_series(n)
-    psi_quot = qs.euler_e(2, n).pow(2).divide_exact(qs.euler_e(1, n))
+    psi_quot = euler_e(2, n).pow(2).divide_exact(euler_e(1, n))
     assert psi_quot == psi_series(n)
 
 
