@@ -7,13 +7,14 @@ exact: isqrt of an exact discriminant, in Python ints or, in the ternary
 array walk, a rounded float root corrected by one exact step (_isqrt).
 
 Points come from one run generator per arity (_walk, the ternary rows as
-arrays, at most _ROWS at a time; the n-loop of theta_series_binary) and
-one expansion of runs into int64 arrays, _spread.  Every caller proves
-its int64 bound before expanding, or raises ValueError.  short_vectors
-expands all its runs into one array; the ternary theta counts about
-_CHUNK points at a time, and with a constraint walks only the rows
-(y, z) whose residues some allowed tuple has.  The binary theta builds
-every row, since it checks each point for a negative affine exponent.
+arrays, at most _ROWS at a time; the n-loop of theta_series_binary), each
+covering every point up to its bound, and one expansion of runs into
+int64 arrays, _spread.  Every caller proves its int64 bound before
+expanding, or raises ValueError.  short_vectors expands all its runs into
+one array less the origin; the ternary theta counts about _CHUNK points
+at a time, and with a constraint walks only the rows (y, z) whose
+residues some allowed tuple has.  The binary theta builds every row,
+since it checks each point for a negative affine exponent.
 
 s_table returns a read-only prefix view of the largest s table built so
 far, held for the whole process in the module dict _S_CACHE.
@@ -172,7 +173,7 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _walk(form: TernaryForm, bound: int, dtype, admit=None, rows=None):
-    """Yield runs covering every triple v != 0 with form(v) <= bound, in
+    """Yield runs covering every triple v with form(v) <= bound, in
     blocks of at most rows (or _ROWS) rows, as arrays of shape (6, k) with
     rows xlo, count, b1, c1, y, z: z ascending, then y, x ascending.
 
@@ -181,9 +182,8 @@ def _walk(form: TernaryForm, bound: int, dtype, admit=None, rows=None):
     b1^2 - 4*a*(c1 - bound) = 4*a*bound - P2(y, z) by completing the
     square (Fincke & Pohst, Math. Comp. 44, 1985).  The rows of a z are
     y = ylo..yhi by the floors on P2's discriminant in y, 16*a*((4ab-f^2)
-    *bound - disc(form)*z^2) >= 0, in Python ints, cut to fill blocks.
-    The origin's row comes twice, as runs xlo..-1 and 1..-xlo; runs may
-    be empty.  An (m, m) boolean table admit keeps rows admit[y % m, z % m].
+    *bound - disc(form)*z^2) >= 0, in Python ints, cut to fill blocks;
+    runs may be empty.  A boolean (m, m) admit keeps rows admit[y % m, z % m].
     """
     if bound < 0:
         return
@@ -192,32 +192,28 @@ def _walk(form: TernaryForm, bound: int, dtype, admit=None, rows=None):
     top, step = 16 * a * a2 * bound, 16 * a * form.disc()
     zmax, rows = isqrt(top // step), rows or _ROWS
     m, some_y = (1, [True]) if admit is None else (len(admit), admit.any(0).tolist())
-    table, lens, halves, total = [], [], [], 0
+    table, lens, total = [], [], 0
     for z in (z for z in range(-zmax, zmax + 1) if some_y[z % m]):
         root = isqrt(top - step * z * z)
-        ylo, yhi = -((b2 * z + root) // (2 * a2)), (root - b2 * z) // (2 * a2)
-        pieces = ((ylo, 0), (0, yhi)) if z == 0 else ((ylo, yhi),)
-        for half, (lo, hi) in enumerate(pieces):
-            while lo <= hi:
-                k = min(hi - lo + 1, rows - total)
-                if z == 0 and lo <= 0 < lo + k:
-                    halves.append((total - lo, half))
-                # disc, 2a - b1, b1, c1 at y = 0, y - index, z, y^2 and y factors.
-                table += (
-                    4 * a * bound - c2 * z * z, 2 * a - e * z, e * z, c * z * z,
-                    lo - total, z, -a2, 0, 0, b, -b2 * z, -f, f, d * z,
-                )
-                lens.append(k)
-                total, lo = total + k, lo + k
-                if total == rows:
-                    yield _block(a, dtype, table, lens, halves, admit)
-                    table, lens, halves, total = [], [], [], 0
+        lo, hi = -((b2 * z + root) // (2 * a2)), (root - b2 * z) // (2 * a2)
+        while lo <= hi:
+            k = min(hi - lo + 1, rows - total)
+            # disc, 2a - b1, b1, c1 at y = 0, y - index, z, y^2 and y factors.
+            table += (
+                4 * a * bound - c2 * z * z, 2 * a - e * z, e * z, c * z * z,
+                lo - total, z, -a2, 0, 0, b, -b2 * z, -f, f, d * z,
+            )
+            lens.append(k)
+            total, lo = total + k, lo + k
+            if total == rows:
+                yield _block(a, dtype, table, lens, admit)
+                table, lens, total = [], [], 0
     if total:
-        yield _block(a, dtype, table, lens, halves, admit)
+        yield _block(a, dtype, table, lens, admit)
 
 
-def _block(a: int, dtype, table: list, lens: list, halves: list, admit):
-    """_walk's runs from its pieces' table rows, lens and origin halves."""
+def _block(a: int, dtype, table: list, lens: list, admit):
+    """_walk's runs from its pieces' table rows and lens."""
     rows = np.array(table, dtype=dtype).reshape(-1, 14).T.repeat(lens, axis=1)
     rows[4] += np.arange(rows.shape[1], dtype=dtype)
     if admit is not None:
@@ -225,7 +221,6 @@ def _block(a: int, dtype, table: list, lens: list, halves: list, admit):
         keep = admit[(rows[4] % m).astype(int), (rows[5] % m).astype(int)]
         # Unlike the F-ordered rows[:, keep], compress keeps rows contiguous.
         rows = np.compress(keep, rows, axis=1)
-        halves = [(np.count_nonzero(keep[:i]), h) for i, h in halves if keep[i]]
     horner = rows[6:10] * rows[4]
     horner += rows[10:]
     horner *= rows[4]
@@ -236,8 +231,6 @@ def _block(a: int, dtype, table: list, lens: list, halves: list, admit):
     runs = rows[:6]
     np.negative(ends[1], out=runs[0])
     np.add(ends[0], ends[1], out=runs[1])
-    for i, half in halves:  # the origin's xlo..-1, then 1..-xlo
-        runs[0, i], runs[1, i] = 1 if half else runs[0, i], ends[1, i]
     return runs
 
 
@@ -261,17 +254,18 @@ def _spread(a: int, runs: np.ndarray, ncoord: int) -> np.ndarray:
     return points[:-1].T
 
 
-def short_vectors(form: TernaryForm, bound: int, admit=None) -> np.ndarray:
+def short_vectors(form: TernaryForm, bound: int) -> np.ndarray:
     """All integer triples v != 0 with form(v) <= bound, with their values.
 
     One (n, 4) int64 array of rows (x, y, z, value), _walk's runs in its
-    order by one _spread; admit is as for _walk.  The int64 certificate
-    (_certify_ternary) is checked before any row is built.
+    order by one _spread, less the one point of value 0, the origin (the
+    form is positive definite).  The int64 certificate (_certify_ternary)
+    is checked before any row is built.
     """
-    dtype = _certify_ternary(form, bound)
-    blocks = list(_walk(form, bound, dtype, admit)) or [np.zeros((6, 0), np.int64)]
-    runs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    return np.ascontiguousarray(_spread(form.a, runs, 2))
+    blocks = _walk(form, bound, _certify_ternary(form, bound))
+    runs = np.concatenate([np.zeros((6, 0), np.int64), *blocks], axis=1)
+    points = _spread(form.a, runs, 2)
+    return points[points[:, 3] > 0]
 
 
 def _residue_table(constraint, arity: int):
@@ -311,14 +305,13 @@ def theta_series_ternary(
 ) -> QSeries:
     """Theta series: coefficient of q^n counts triples with form value n.
 
-    The nonzero triples are those of short_vectors(form, trunc), but each
-    block of _walk is cut after the runs reaching each multiple of _CHUNK
+    The triples are those of _walk(form, trunc), the origin included, but
+    each block is cut after the runs reaching each multiple of _CHUNK
     points, and the batches are expanded and counted in turn.  The
     constraint's arity, trunc >= 0 and the int64 certificate are checked
     in that order, before any row is built.  A constraint walks only the
     rows (y, z) whose residues some allowed tuple has and keeps the points
-    whose x it allows too; without one, a point is only (x, value).  The
-    origin is counted by the same constraint rule.
+    whose x it allows too; without one, a point is only (x, value).
     """
     table = _residue_table(constraint, 3)
     if trunc < 0:
@@ -331,7 +324,6 @@ def theta_series_ternary(
         cuts = np.flatnonzero(np.diff(np.cumsum(runs[1, :-1]) // _CHUNK, prepend=0))
         for batch in np.split(runs, cuts + 1, axis=1):
             counts += _histogram(trunc, _spread(form.a, batch, ncoord), table)
-    counts[0] += 1 if table is None else int(table[0, 0, 0])
     return QSeries(trunc, counts)
 
 
@@ -386,14 +378,14 @@ def rep_count_ternary(form: TernaryForm, n: int) -> int:
 
     A point of value exactly n is a root of its row's quadratic, so it
     ends its run of _walk(form, n): each run counts its first x and, when
-    longer, its last x at value n; the origin counts at n = 0.  Holding no
-    points, it walks blocks of 16 * _ROWS rows (a 4.5 MB peak).
+    longer, its last x at value n (at n = 0 the one run is x = 0..0).
+    Holding no points, it walks blocks of 16 * _ROWS rows (a 4.5 MB peak).
     """
     try:
         dtype = _certify_ternary(form, n)
     except ValueError:  # beyond int64: the walk in Python ints
         dtype = object
-    count = int(n == 0)
+    count = 0
     for runs in _walk(form, n, dtype, rows=16 * _ROWS):
         xlo, length, b1, c1 = runs[:4]
         for x, ok in ((xlo, length > 0), (xlo + length - 1, length > 1)):

@@ -93,15 +93,12 @@ def ref_ternary_rows(form, bound, admit=None):
 
 
 def ref_runs(form, bound, admit=None):
-    """Runs (xlo, count, b1, c1, y, z) of every triple v != 0 with value
-    <= bound, row by row of ref_ternary_rows, x ascending; the origin's
-    row is split in two runs, xlo..-1 and 1..-xlo."""
+    """Runs (xlo, count, b1, c1, y, z) of every triple v with value <=
+    bound, the origin included, row by row of ref_ternary_rows, x
+    ascending."""
     out = []
     for y, z, b1, c1 in ref_ternary_rows(form, bound, admit):
         xlo, xhi = _x_range(form.a, b1, c1, bound)
-        if y == z == 0:
-            out.append((xlo, -xlo, b1, c1, y, z))
-            xlo = 1
         if xlo <= xhi:
             out.append((xlo, xhi - xlo + 1, b1, c1, y, z))
     return out
@@ -242,7 +239,7 @@ def test_ternary_theta_matches_the_point_loop(coeffs, trunc, constraint):
     trunc=st.integers(0, 120),
     constraint=constraints(3),
 )
-# trunc 0 is one empty run; at 1 the origin's row is the two runs -1 and 1.
+# trunc 0 is the origin's run alone; at 1 the origin's row is the run -1..1.
 @example(coeffs=(1, 1, 1, 0, 0, 0), trunc=0, constraint=None)
 @example(coeffs=(1, 1, 1, 0, 0, 0), trunc=1, constraint=None)
 @example(coeffs=(1, 1, 1, 0, 0, 0), trunc=1, constraint=X(0)[2])
@@ -371,13 +368,15 @@ def walk_runs(form, bound, admit=None, dtype=np.int64):
 
 
 def expand_runs(a, runs):
-    """(x, y, z, value) rows of runs, one numpy range per run."""
+    """(x, y, z, value) rows of runs, one numpy range per run, less the
+    zero vector, as short_vectors leaves it out."""
     rows = [np.zeros((0, 4), dtype=np.int64)]
     for xlo, count, b1, c1, y, z in runs:
         x = np.arange(xlo, xlo + count, dtype=np.int64)
         yz = np.broadcast_to(np.array([y, z], dtype=np.int64), (count, 2))
         rows.append(np.column_stack([x, yz, (a * x + b1) * x + c1]))
-    return np.concatenate(rows)
+    rows = np.concatenate(rows)
+    return rows[rows[:, :3].any(axis=1)]
 
 
 @st.composite
@@ -404,8 +403,7 @@ def test_array_walk_matches_the_row_loop(rows, coeffs, bound, admit):
     # Equal nonempty runs in equal order, in int64 and in Python ints, at
     # every block size.  The loop takes each z's admitted residue classes
     # of y one after another; the walk takes y ascending, so with a table
-    # the loop's runs are sorted by (z, y), which keeps the origin's two
-    # runs in order.
+    # the loop's runs are sorted by (z, y).
     a, b, c, d, e, f = coeffs
     assume(4 * a * b > f * f)
     assume(4 * a * b * c + d * e * f > a * d * d + b * e * e + c * f * f)
@@ -417,9 +415,9 @@ def test_array_walk_matches_the_row_loop(rows, coeffs, bound, admit):
         mp.setattr(lattice, "_ROWS", rows)
         assert walk_runs(form, bound, admit) == expected
         assert walk_runs(form, bound, admit, object) == expected
-        vectors = short_vectors(form, bound, admit)
+        vectors = short_vectors(form, bound)
     assert vectors.flags.c_contiguous and vectors.dtype == np.int64
-    assert np.array_equal(vectors, expand_runs(form.a, expected))
+    assert np.array_equal(vectors, expand_runs(form.a, ref_runs(form, bound)))
     assert rep_count_ternary(form, bound) == ref_rep_count(form, bound)
 
 
@@ -427,8 +425,8 @@ def test_array_walk_matches_the_row_loop(rows, coeffs, bound, admit):
 def test_blocks_are_bounded_in_rows_within_one_z(admit):
     # (k^2, 1, c, 0, 0, 2k - 1) with c past the bound walks z = 0 alone,
     # on about 2*sqrt(k*bound) rows.  A block never holds more than
-    # _ROWS of them; at _ROWS = 1 - ylo the origin's first half ends one
-    # block and its second half starts the next.
+    # _ROWS of them; at _ROWS = 1 - ylo a block ends right after the
+    # origin's row.
     k, bound = 30, 500
     form = TernaryForm(k * k, 1, bound + 1, 0, 0, 2 * k - 1)
     rows = list(ref_ternary_rows(form, bound))
@@ -441,13 +439,13 @@ def test_blocks_are_bounded_in_rows_within_one_z(admit):
             blocks = list(lattice._walk(form, bound, np.int64, admit))
             assert max(block.shape[1] for block in blocks) <= size
             if admit is None:
-                assert sum(block.shape[1] for block in blocks) == len(rows) + 1
+                assert sum(block.shape[1] for block in blocks) == len(rows)
             assert walk_runs(form, bound, admit) == expected
             assert walk_runs(form, bound, admit, object) == expected
-            vectors = short_vectors(form, bound, admit)
+            vectors = short_vectors(form, bound)
             theta = theta_series_ternary(form, bound)
             count = rep_count_ternary(form, bound)
-        assert np.array_equal(vectors, expand_runs(form.a, expected))
+        assert np.array_equal(vectors, expand_runs(form.a, ref_runs(form, bound)))
         assert theta == ref_theta_ternary(form, bound)
         assert count == ref_rep_count(form, bound)
 

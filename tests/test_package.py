@@ -6,6 +6,10 @@ __init__.py and outside its own body.  Independent references that only
 the tests compare against live in the tests.  KEEP names the few
 definitions that the package exports for its readers without calling
 them itself.
+
+Likewise every parameter with a default must be passed by some call in
+the package, so that no knob exists for the tests alone.  KNOBS names
+the few that only callers outside the package set.
 """
 
 import ast
@@ -25,6 +29,13 @@ KEEP = {
     # Seed API that the seed tests pin.
     "QSeries.is_zero": "seed API",
     "QSeries.from_json_dict": "seed API",
+}
+
+
+KNOBS = {
+    "main(argv)": "the console entry point; argparse reads sys.argv",
+    "monomial(coeff)": "seed API that the seed tests pin",
+    "verify_hs(chain_order)": "the acceptance tests set it",
 }
 
 
@@ -68,8 +79,12 @@ def references(tree: ast.AST) -> list[str]:
     return names
 
 
+def parse() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
 def unreferenced() -> set[str]:
-    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    trees = parse()
     used = Counter(
         name
         for file, tree in trees.items()
@@ -87,3 +102,65 @@ def unreferenced() -> set[str]:
 
 def test_package_defines_only_what_it_runs():
     assert unreferenced() == set(KEEP)
+
+
+def functions(tree: ast.Module):
+    """(node, implicit first arguments) of every function under tree: 1 for
+    a method, whose calls do not pass self, else 0."""
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if isinstance(node, ast.FunctionDef):
+                yield node, int(isinstance(owner, ast.ClassDef))
+
+
+def defaulted(node: ast.FunctionDef):
+    """(name, index among the positional arguments or None) of each
+    parameter of node that has a default."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether call passes the parameter name, by keyword or at index."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def unpassed_knobs() -> set[str]:
+    trees = parse()
+    calls = [
+        node
+        for file, tree in trees.items()
+        if file != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    found = set()
+    for tree in trees.values():
+        for func, implicit in functions(tree):
+            own = {id(node) for node in ast.walk(func)}
+            outside = [
+                c for c in calls if callee(c) == func.name and id(c) not in own
+            ]
+            for name, index in defaulted(func):
+                at = None if index is None else index - implicit
+                if not any(passes(call, name, at) for call in outside):
+                    found.add(f"{func.name}({name})")
+    return found
+
+
+def test_every_default_is_passed_by_the_package():
+    assert unpassed_knobs() == set(KNOBS)
