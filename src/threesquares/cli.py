@@ -310,12 +310,13 @@ def _cmd_prop54(args) -> int:
     for p in primes:
         rep = verify_prop54(p, args.max_n)
         all_pass &= rep.status == "pass"
+        mismatch = rep.first_mismatch
         rows.append(
             {
                 "p": p,
                 "maxN": rep.max_n,
                 "status": rep.status,
-                "firstFail": "" if rep.first_fail is None else rep.first_fail,
+                "firstFail": "" if mismatch is None else mismatch[0],
                 "tg1": " + ".join(f"{c}*R{list(t)}" for c, t in rep.tg1_terms),
                 "tg2": " + ".join(f"{c}*R{list(t)}" for c, t in rep.tg2_terms),
             }

@@ -2,7 +2,12 @@
 
 Every check builds its two sides as exact integer arrays indexed by the
 exponent n and hands them to one comparison, _first_mismatch, which
-returns the least failing n.  The lattice-count checks run over
+returns the witness (n, lhs[n], rhs[n]) at the least failing n, in
+Python ints, or None.  Each comparison report carries that witness as
+first_mismatch, and every report serialises through one rule, _json:
+its compared fields under camelCase keys, tuples as lists.  Timing is
+not compared, so it stays out of equality and of the JSON.  The
+lattice-count checks run over
 1 <= n <= N, as the paper states them.  The slices of the int32 s table
 a check reads are widened to int64 before any arithmetic: the table's
 certificate bounds s(n), not p*s(n).  The weighted two-genus identity
@@ -16,7 +21,7 @@ the other.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -41,32 +46,46 @@ from .lattice import point_array_bytes, s_table, theta_series_ternary
 from .qseries import prod_ap_bytes
 
 
+def _json(value):
+    """A report's compared fields under camelCase keys, tuples as lists."""
+    if is_dataclass(value):
+        doc = {}
+        for f in fields(value):
+            if f.compare:
+                head, *rest = f.name.split("_")
+                key = head + "".join(w.capitalize() for w in rest)
+                doc[key] = _json(getattr(value, f.name))
+        return doc
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value
+
+
+class _Report:
+    def to_json_dict(self) -> dict:
+        return _json(self)
+
+
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Report):
     id: str
     order: int
     status: str  # "pass" | "fail"
     first_mismatch: tuple | None  # (exponent, lhs, rhs)
-    elapsed: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "order": self.order,
-            "status": self.status,
-            "firstMismatch": list(self.first_mismatch)
-            if self.first_mismatch
-            else None,
-        }
+    elapsed: float = field(compare=False)
 
 
-def _first_mismatch(lhs, rhs, keep=None) -> int | None:
-    """The least index n (with keep[n], if given) where lhs and rhs differ."""
+def _first_mismatch(lhs, rhs, keep=None) -> tuple | None:
+    """(n, lhs[n], rhs[n]) at the least n (with keep[n], if given) where
+    lhs and rhs differ, or None."""
     differ = np.asarray(lhs != rhs, dtype=bool)
     if keep is not None:
         differ &= keep
     bad = np.flatnonzero(differ)
-    return int(bad[0]) if len(bad) else None
+    if not len(bad):
+        return None
+    n = int(bad[0])
+    return n, int(lhs[n]), int(rhs[n])
 
 
 def _from_one(max_n: int) -> np.ndarray:
@@ -94,8 +113,7 @@ def verify_identity(spec_or_id, order: int) -> VerificationReport:
     if spec.mask is not None:
         modulus, residues = spec.mask
         keep = np.isin(np.arange(order + 1) % modulus, residues)
-    i = _first_mismatch(lhs.array, rhs.array, keep)
-    mismatch = None if i is None else (i, lhs[i], rhs[i])
+    mismatch = _first_mismatch(lhs.array, rhs.array, keep)
     elapsed = time.perf_counter() - start
     status = "pass" if mismatch is None else "fail"
     return VerificationReport(spec.id, order, status, mismatch, elapsed)
@@ -184,23 +202,13 @@ def _branch_specs(p: int) -> list[IdentitySpec]:
 
 
 @dataclass(frozen=True)
-class HSReport:
+class HSReport(_Report):
     p: int
     max_n: int
     status: str
-    first_fail: int | None
+    first_mismatch: tuple | None
     chain_order: int | None
     chain_reports: tuple[VerificationReport, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "maxN": self.max_n,
-            "status": self.status,
-            "firstFail": self.first_fail,
-            "chainOrder": self.chain_order,
-            "chain": [r.to_json_dict() for r in self.chain_reports],
-        }
 
 
 def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
@@ -217,17 +225,16 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
     s_n = s[: max_n + 1].astype(np.int64)
     rhs = (p + 1 - _minus_chi(p, max_n)) * s_n
     rhs[::q] -= p * s_n[: max_n // q + 1]
-    first_fail = _first_mismatch(s[::q], rhs, _from_one(max_n))
+    mismatch = _first_mismatch(s[::q], rhs, _from_one(max_n))
     chain_reports: tuple[VerificationReport, ...] = ()
     chain_used = None
-    if p in _CHAIN_IDS and first_fail is None:
+    if p in _CHAIN_IDS and mismatch is None:
         chain_used = chain_order
         specs = [lookup(i) for i in _CHAIN_IDS[p]] + _branch_specs(p)
         chain_reports = tuple(_verify_planned(specs, chain_order))
-    ok = first_fail is None and all(r.status == "pass" for r in chain_reports)
+    ok = mismatch is None and all(r.status == "pass" for r in chain_reports)
     return HSReport(
-        p, max_n, "pass" if ok else "fail", first_fail, chain_used,
-        chain_reports,
+        p, max_n, "pass" if ok else "fail", mismatch, chain_used, chain_reports
     )
 
 
@@ -235,19 +242,11 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Report):
     id: str
     max_n: int
     status: str
-    first_fail: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "maxN": self.max_n,
-            "status": self.status,
-            "firstFail": self.first_fail,
-        }
+    first_mismatch: tuple | None
 
 
 def verify_theorems(max_n: int) -> list[TheoremReport]:
@@ -279,8 +278,10 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
         ("T5.3", _first_mismatch(d25, 4 * h - 8 * h2, from_one)),
     ]
     return [
-        TheoremReport(tid, max_n, "pass" if fail is None else "fail", fail)
-        for tid, fail in checks
+        TheoremReport(
+            tid, max_n, "pass" if mismatch is None else "fail", mismatch
+        )
+        for tid, mismatch in checks
     ]
 
 
@@ -288,23 +289,13 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
 
 
 @dataclass(frozen=True)
-class Prop54Report:
+class Prop54Report(_Report):
     p: int
     max_n: int
     status: str
-    first_fail: int | None
+    first_mismatch: tuple | None
     tg1_terms: tuple[tuple[int, tuple], ...]  # (coefficient, form tuple)
     tg2_terms: tuple[tuple[int, tuple], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "maxN": self.max_n,
-            "status": self.status,
-            "firstFail": self.first_fail,
-            "tg1Terms": [[c, list(t)] for c, t in self.tg1_terms],
-            "tg2Terms": [[c, list(t)] for c, t in self.tg2_terms],
-        }
 
 
 def verify_prop54(p: int, max_n: int) -> Prop54Report:
@@ -326,22 +317,16 @@ def verify_prop54(p: int, max_n: int) -> Prop54Report:
         for c, form in terms:
             rhs += sign * c * evaluate(theta3(*form), max_n).array
     lhs = s[:: p * p].astype(np.int64) - p * s[: max_n + 1].astype(np.int64)
-    first_fail = _first_mismatch(lhs, rhs, _from_one(max_n))
-    return Prop54Report(
-        p,
-        max_n,
-        "pass" if first_fail is None else "fail",
-        first_fail,
-        terms1,
-        terms2,
-    )
+    mismatch = _first_mismatch(lhs, rhs, _from_one(max_n))
+    status = "pass" if mismatch is None else "fail"
+    return Prop54Report(p, max_n, status, mismatch, terms1, terms2)
 
 
 # -- signature properties of the second genus ---------------------------------
 
 
 @dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(_Report):
     p: int
     max_n: int
     status: str
@@ -349,17 +334,6 @@ class SignatureReport:
     mapping: tuple[tuple[tuple, tuple], ...]
     pullback_ok: bool
     vanishing_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "maxN": self.max_n,
-            "status": self.status,
-            "hStatus": self.h_status,
-            "mapping": [[list(a), list(b)] for a, b in self.mapping],
-            "pullbackOk": self.pullback_ok,
-            "vanishingOk": self.vanishing_ok,
-        }
 
 
 def verify_signature(p: int, max_n: int) -> SignatureReport:
@@ -388,19 +362,11 @@ def verify_signature(p: int, max_n: int) -> SignatureReport:
 
 
 @dataclass(frozen=True)
-class JagyReport:
+class JagyReport(_Report):
     p: int
     max_n: int
     status: str
     failures: tuple[tuple[tuple, int], ...]  # (form, n) pairs that represent
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "maxN": self.max_n,
-            "status": self.status,
-            "failures": [[list(t), n] for t, n in self.failures],
-        }
 
 
 def verify_jagy(p: int, max_n: int) -> JagyReport:

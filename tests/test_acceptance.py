@@ -71,7 +71,7 @@ def test_criterion_1_full_catalog_at_300():
 def test_criterion_2_prime_square_recursion():
     for p in (3, 5, 7, 11, 13):
         report = verify_hs(p, 10_000, chain_order=500)
-        assert report.status == "pass", (p, report.first_fail)
+        assert report.status == "pass", (p, report.first_mismatch)
         if p in (3, 5):
             assert report.chain_order == 500
             assert report.chain_reports
@@ -86,7 +86,7 @@ def test_criterion_2_prime_square_recursion():
 def test_criterion_3_theorems_to_5000():
     reports = verify_theorems(5000)
     for r in reports:
-        assert r.status == "pass", (r.id, r.first_fail)
+        assert r.status == "pass", (r.id, r.first_mismatch)
     print("\nPASS criterion 3: four representation theorems to n=5000")
 
 
@@ -189,7 +189,7 @@ def test_criterion_6_weighted_identity_to_1000():
     start = time.perf_counter()
     for p, (want1, want2) in printed.items():
         report = verify_prop54(p, 1000)
-        assert report.status == "pass", (p, report.first_fail)
+        assert report.status == "pass", (p, report.first_mismatch)
         assert {(c, canon(t)) for c, t in report.tg1_terms} == {
             (c, canon(t)) for c, t in want1
         }, p

@@ -208,8 +208,16 @@ def test_failing_spec_reports_int_witness_that_serialises():
     assert report.status == "fail"
     assert report.first_mismatch == (1, 2, 1)
     assert all(type(v) is int for v in report.first_mismatch)
+    # phi = 1 + 2q + ... and psi = 1 + q + ...: the sides read at n = 1.
+    n, lhs, rhs = report.first_mismatch
+    assert (lhs, rhs) == (evaluate(PHI(), 30)[n], evaluate(PSI(), 30)[n])
+    assert lhs - rhs == 1
     doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc["firstMismatch"] == [1, 2, 1]
+    # The wall time is left out, as it is of equality.
+    assert doc == {
+        "id": "phi-psi", "order": 30, "status": "fail", "firstMismatch": [1, 2, 1]
+    }
 
 
 def test_sifted_products_keep_one_memo_entry_per_miss(monkeypatch):

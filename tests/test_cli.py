@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from threesquares import cli, forms
+from threesquares import cli, forms, verify
 from threesquares.cli import main
 from threesquares.lattice import identity_form, rep_count_ternary, s_table
 
@@ -342,14 +342,44 @@ GOLDEN = [
      "8822351471752ee5785c5409ea0e85e76d7669fb100d3693e38bcf5c4ed1ed7d"),
     (["prop54", "--p", "3,5,7", "--max-n", "300", "--format", "json"],
      "ae57ba668898c1397d784702681ecca604772d9a291e4dc41a49578e0c6c43a6"),
+    (["genus", "--p", "73", "--format", "json"],
+     "8b42d6dd5a06767414490f8d8d7d9403153265c77b7bbb9d5f5a7aece104a05b"),
+    (["genus", "--disc", "4624", "--format", "json"],
+     "b1c0770e68fe698cc887fde30d5c54ad9a3809544c5ac34ff230191e5e3dc472"),
+    (["prop54", "--p", "3,5,7,11,13,17,19,23", "--max-n", "1000",
+      "--format", "json"],
+     "07e84be20e1c174b3951bb4bfcc6bef828918afab70a384d30ab0b33cd983444"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["verify", "genus", "prop54"])
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN,
+    ids=["verify", "genus", "prop54", "genus73", "genus4624", "prop54to23"],
+)
 def test_reports_are_byte_identical_to_the_golden_output(capsys, argv, digest):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_failing_prop54_prints_its_first_failing_n(monkeypatch, capsys):
+    real = verify.s_table
+
+    def s_table(n_max):
+        table = real(n_max).copy()
+        table[49 * 12] += 1
+        return table
+
+    monkeypatch.setattr(verify, "s_table", s_table)
+    code, out, err = run_cli(
+        ["prop54", "--p", "7", "--max-n", "100", "--format", "json"], capsys
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"firstFail": 12, "maxN": 100, "p": 7, "status": "fail", '
+        '"tg1": "6*R[1, 2, 7, 0, 0, -1]", "tg2": "12*R[4, 7, 8, 0, -4, 0]"}\n'
+    )
 
 
 def test_the_package_runs_as_a_module(tmp_path):

@@ -1,5 +1,7 @@
 """Verification engines at reduced depth (full depths live in acceptance)."""
 
+import json
+
 import pytest
 
 from threesquares import verify
@@ -9,6 +11,7 @@ from threesquares.qseries import QSeries
 from threesquares.verify import (
     run_catalog,
     verify_hs,
+    verify_identity,
     verify_jagy,
     verify_prop54,
     verify_signature,
@@ -25,7 +28,7 @@ def test_hs_small_all_routes():
     for p in (3, 5):
         report = verify_hs(p, 300, chain_order=300)
         assert report.status == "pass"
-        assert report.first_fail is None
+        assert report.first_mismatch is None
         assert report.chain_order == 300
         assert report.chain_reports
         assert all(r.status == "pass" for r in report.chain_reports)
@@ -112,7 +115,7 @@ def test_prop54_conjecture_level_primes():
     # pending investigation, never suppressed.
     for p in (29, 31, 37):
         report = verify_prop54(p, 500)
-        assert report.status == "pass", (p, report.first_fail)
+        assert report.status == "pass", (p, report.first_mismatch)
 
 
 def test_sifting_chain_routes_agree():
@@ -149,7 +152,7 @@ def test_pullback_bijection_seedless_prime():
 @pytest.mark.parametrize("p", [73, 97, 101])
 def test_prop54_past_the_catalog_primes(p):
     report = verify_prop54(p, 200)
-    assert (report.status, report.first_fail) == ("pass", None)
+    assert (report.status, report.first_mismatch) == ("pass", None)
     assert len(report.tg1_terms) == len(report.tg2_terms)
 
 
@@ -170,6 +173,33 @@ def test_report_json_shapes():
     assert docsig["hStatus"] == "ok"
     docj = verify_jagy(17, 100).to_json_dict()
     assert docj["status"] == "pass"
+    # Every report type's exact keys; a timing is never one of them.
+    docv = verify_identity("E2.1", 50).to_json_dict()
+    doct = verify_theorems(50)[0].to_json_dict()
+    identity_keys = {"id", "order", "status", "firstMismatch"}
+    shapes = [
+        (docv, identity_keys),
+        (doc, {"p", "maxN", "status", "firstMismatch", "chainOrder",
+               "chainReports"}),
+        (doct, {"id", "maxN", "status", "firstMismatch"}),
+        (doc54, {"p", "maxN", "status", "firstMismatch", "tg1Terms",
+                 "tg2Terms"}),
+        (docsig, {"p", "maxN", "status", "hStatus", "mapping", "pullbackOk",
+                  "vanishingOk"}),
+        (docj, {"p", "maxN", "status", "failures"}),
+    ]
+    for d, keys in shapes:
+        assert set(d) == keys
+        assert json.loads(json.dumps(d)) == d
+    assert doc["chainReports"] and all(
+        set(r) == identity_keys for r in doc["chainReports"]
+    )
+
+
+def test_equal_runs_give_equal_reports():
+    # The wall time is not part of a report's value, nested or not.
+    assert verify_identity("E2.1", 50) == verify_identity("E2.1", 50)
+    assert verify_hs(3, 50, chain_order=60) == verify_hs(3, 50, chain_order=60)
 
 
 # -- failure paths: one perturbed coefficient, one exact first failure --------
@@ -221,12 +251,22 @@ def bump_theta(monkeypatch, bumps):
     ],
 )
 def test_hs_reports_the_first_perturbed_n(monkeypatch, p, bumps, first_fail):
+    s = s_table(p * p * 100)
     bump_s(monkeypatch, bumps)
     report = verify_hs(p, 100, chain_order=60)
-    assert report.first_fail == first_fail
     assert report.status == ("pass" if first_fail is None else "fail")
-    if first_fail is not None:
-        assert report.chain_reports == () and report.chain_order is None
+    if first_fail is None:
+        assert report.first_mismatch is None
+        return
+    assert report.chain_reports == () and report.chain_order is None
+    n, lhs, rhs = report.first_mismatch
+    assert n == first_fail
+    assert all(type(v) is int for v in report.first_mismatch)
+    assert lhs == s[p * p * n] + bumps.get(p * p * n, 0)
+    # At n = 10 the bump sits on the left, s(490).  At n = 5 it reaches
+    # the right through c s(5), c = 8 - (-5|7) = 7; at n = 18 through
+    # 4 s(18) - 3 s(2), moved by 4 * 3 - 3 * 1.
+    assert lhs - rhs == {10: 1, 5: -7, 18: -9}[n]
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -260,14 +300,22 @@ def test_moving_one_branch_coefficient_fails_that_branch_alone(
 @pytest.mark.parametrize(
     "s_bumps, theta_bumps, fails",
     [
+        # fails maps each failing theorem to (first n, lhs - rhs there).
+        # The left side is s(k n) - c s(n), (k, c) = (25, 5) or (9, 3); the
+        # right side is 4h, 2g, 2g - 4g2 or 4h - 8h2.
         # n = 8 is 0 mod 4: outside the parity-restricted statements.
-        ({8: 1}, {}, {"T5.2": 8, "T5.3": 8}),
-        ({45: 1}, {}, {"T1.1": 45, "T1.2": 5, "T5.2": 5, "T5.3": 45}),
-        ({}, {(G, 5): 1}, {"T1.2": 5, "T5.2": 5}),
-        ({}, {(H, 6): 1}, {"T1.1": 6, "T5.3": 6}),
-        ({}, {(G2, 3): 1}, {"T5.2": 3}),
-        ({}, {(H2, 7): 1}, {"T5.3": 7}),
-        ({}, {(G2, 12): 1, (H2, 4): 1}, {"T5.2": 12, "T5.3": 4}),
+        ({8: 1}, {}, {"T5.2": (8, -3), "T5.3": (8, -5)}),
+        (
+            {45: 1},
+            {},
+            {"T1.1": (45, -5), "T1.2": (5, 1), "T5.2": (5, 1),
+             "T5.3": (45, -5)},
+        ),
+        ({}, {(G, 5): 1}, {"T1.2": (5, -2), "T5.2": (5, -2)}),
+        ({}, {(H, 6): 1}, {"T1.1": (6, -4), "T5.3": (6, -4)}),
+        ({}, {(G2, 3): 1}, {"T5.2": (3, 4)}),
+        ({}, {(H2, 7): 1}, {"T5.3": (7, 8)}),
+        ({}, {(G2, 12): 1, (H2, 4): 1}, {"T5.2": (12, 4), "T5.3": (4, 8)}),
         # n = 0 is never checked: at n = 0 T1.1 reads 1 - 5 != 4.
         ({0: 1}, {}, {}),
         ({}, {(G, 0): 1, (H, 0): 2, (G2, 0): 3, (H2, 0): 1}, {}),
@@ -276,36 +324,58 @@ def test_moving_one_branch_coefficient_fails_that_branch_alone(
 def test_theorems_report_the_first_perturbed_n(
     monkeypatch, s_bumps, theta_bumps, fails
 ):
+    s = s_table(25 * 100)
+
+    def moved_s(i):
+        return int(s[i]) + s_bumps.get(i, 0)
+
     bump_s(monkeypatch, s_bumps)
     bump_theta(monkeypatch, theta_bumps)
     reports = {r.id: r for r in verify_theorems(100)}
     assert set(reports) == {"T1.1", "T1.2", "T5.2", "T5.3"}
     for tid, report in reports.items():
-        assert report.first_fail == fails.get(tid), tid
         assert report.status == ("fail" if tid in fails else "pass"), tid
+        if tid not in fails:
+            assert report.first_mismatch is None, tid
+            continue
+        n, lhs, rhs = report.first_mismatch
+        assert all(type(v) is int for v in report.first_mismatch), tid
+        k, c = (25, 5) if tid in ("T1.1", "T5.3") else (9, 3)
+        assert lhs == moved_s(k * n) - c * moved_s(n), tid
+        assert (n, lhs - rhs) == fails[tid], tid
 
 
 def test_prop54_reports_the_first_perturbed_n(monkeypatch):
     clean = verify_prop54(7, 100)
     (c1, f1), = clean.tg1_terms
     (c2, f2), = clean.tg2_terms
+    s = s_table(49 * 100)
+    # Each failing case gives (first n, lhs - rhs there), with the left
+    # side s(49 n) - 7 s(n) and the right side c1 R1(n) - c2 R2(n).
     cases = [
-        ({49 * 12: 1}, {}, 12),
-        ({}, {(f1, 30): 1}, 30),
-        ({}, {(f2, 9): 1, (f1, 40): 1}, 9),
+        ({49 * 12: 1}, {}, (12, 1)),
+        ({}, {(f1, 30): 1}, (30, -c1)),
+        ({}, {(f2, 9): 1, (f1, 40): 1}, (9, c2)),
         # c1 * c2 - c2 * c1 = 0: the printed weights cancel exactly.
         ({}, {(f1, 20): c2, (f2, 20): c1}, None),
         ({0: 1}, {}, None),
         ({}, {(f1, 0): 1}, None),
         ({}, {(f2, 0): 1}, None),
     ]
-    for s_bumps, theta_bumps, first_fail in cases:
+    for s_bumps, theta_bumps, fail in cases:
         with monkeypatch.context() as m:
             bump_s(m, s_bumps)
             bump_theta(m, theta_bumps)
             report = verify_prop54(7, 100)
-        assert report.first_fail == first_fail
-        assert report.status == ("pass" if first_fail is None else "fail")
+        assert report.status == ("pass" if fail is None else "fail")
+        if fail is None:
+            assert report.first_mismatch is None
+        else:
+            n, lhs, rhs = report.first_mismatch
+            assert all(type(v) is int for v in report.first_mismatch)
+            moved = [int(s[i]) + s_bumps.get(i, 0) for i in (49 * n, n)]
+            assert lhs == moved[0] - 7 * moved[1]
+            assert (n, lhs - rhs) == fail
         assert (report.tg1_terms, report.tg2_terms) == (
             clean.tg1_terms, clean.tg2_terms
         )
