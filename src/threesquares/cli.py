@@ -100,6 +100,12 @@ def _order(args) -> tuple[str, int]:
     return name, order
 
 
+def _cell(row: dict, column: str) -> str:
+    """A table cell; a JSON null prints empty, as the csv writer prints it."""
+    value = row.get(column)
+    return "" if value is None else str(value)
+
+
 def _emit(
     rows: list[dict], fmt: str, output: str | None, columns, trailer: str = ""
 ) -> None:
@@ -115,14 +121,12 @@ def _emit(
         text = buf.getvalue()
     else:
         widths = {
-            c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
+            c: max(len(c), *(len(_cell(r, c)) for r in rows)) if rows else len(c)
             for c in columns
         }
         lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
         for r in rows:
-            lines.append(
-                "  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns)
-            )
+            lines.append("  ".join(_cell(r, c).ljust(widths[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     text += trailer
     if output:
@@ -316,7 +320,7 @@ def _cmd_prop54(args) -> int:
                 "p": p,
                 "maxN": rep.max_n,
                 "status": rep.status,
-                "firstFail": "" if mismatch is None else mismatch[0],
+                "firstFail": None if mismatch is None else mismatch[0],
                 "tg1": " + ".join(f"{c}*R{list(t)}" for c, t in rep.tg1_terms),
                 "tg2": " + ".join(f"{c}*R{list(t)}" for c, t in rep.tg2_terms),
             }

@@ -14,20 +14,18 @@ a form whose diagonal is the successive minima has abc <= 2 det G = D/2,
 with equality at D = 2 for (1, 1, 1, -1, -1, 0).  So the scan needs only
 a^3 <= D/2 and a*b^2 <= D/2.
 
-Both hot loops run as exact int64 numpy code.  The class scan broadcasts
-the (f, e, d) grid of each (a, b) and takes c with np.divmod; the basis
-search takes every bilinear value as a matrix product against V @ G and
-every determinant as cross * dot, scanning third vectors in ascending
-value blocks.  Each proves its worst intermediate below 2^62 before the
-array arithmetic and raises ValueError when it cannot; there is no
-Python-int fallback, since no discriminant small enough to enumerate
-comes near that bound.
+Both hot loops run as exact numpy code that proves its bound first and
+raises ValueError when it cannot; no discriminant small enough to
+enumerate comes near.  The class scan takes c as a float quotient checked
+in integers, on int32/float32 below 2^24 and int64/float64 below 2^53;
+the basis search takes bilinear values as products against V @ G and
+determinants as cross * dot in int64 below 2^62, by ascending blocks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -237,47 +235,49 @@ def _scan_bound_b(disc: int, a: int) -> int:
     return isqrt(disc // (2 * a))
 
 
+# Cells per block of the class scan, and the bound of its int32/float32 tier.
+_SCAN_BLOCK, _SCAN_NARROW = 1 << 14, 1 << 24
+
+
 def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
     """Primitive forms of the scan region, as coefficient tuples.
 
     Sign flips of the variables couple the off-diagonal signs pairwise,
     so every class has a size-reduced form with d, e, f all >= 0 or all
-    strictly negative; scanning those two patterns is complete.  For
-    each (a, b) the (f, e, d) grid is one broadcast array, and c comes
-    from D = c(4ab-f^2) + def - ad^2 - be^2 by np.divmod.  With e, f <= a
-    and d <= b the numerator is at most D + 2*b*a^2 + a*b^2 and the
-    divisor at most 4ab; that bound is checked against 2^62 first.
+    strictly negative; scanning those two patterns is complete.  Each a
+    meets rows b = a.._scan_bound_b(disc, a), d = 0..b with f, e <= a,
+    _SCAN_BLOCK cells at a time.  In D = c(4ab-f^2) + def - ad^2 - be^2,
+    num <= D + 2ba^2 + ab^2 and den <= 4ab are below worst, hence exact
+    floats below 2^(significand bits + 1): c = rint(num/den) is exact where
+    den | num, and any other c fails c*den (< num + den) == num in integers.
     """
-    amax = _icbrt(disc // 2)
-    bmax = _scan_bound_b(disc, 1)
+    amax, bmax = _icbrt(disc // 2), _scan_bound_b(disc, 1)
     worst = disc + amax * bmax * (2 * amax + bmax + 4)
-    if worst >= _INT64_SAFE:
-        raise ValueError(
-            f"class scan of discriminant {disc} overflows int64 "
-            f"(worst intermediate {worst} >= 2^62)"
-        )
-    candidates = set()
+    if worst >= 1 << 53:
+        raise ValueError(f"class scan of discriminant {disc} is not exact on "
+                         f"int64/float64 (worst intermediate {worst} >= 2^53)")
+    ity, fty = [(np.int32, np.float32), (np.int64, np.float64)][worst >= _SCAN_NARROW]
+    rows = np.arange(bmax + 1, dtype=ity)
+    tri_b = np.repeat(rows, rows + 1)  # row b holds d = 0..b from b(b+1)/2
+    tri_d = np.arange(len(tri_b), dtype=ity) - (tri_b * (tri_b + 1) >> 1)
+    hits = [np.zeros((5, 0), ity)]
     for a in range(1, amax + 1):
-        f = np.arange(a + 1, dtype=np.int64)[:, None, None]
-        e = f.reshape(1, -1, 1)
-        for b in range(a, _scan_bound_b(disc, a) + 1):
-            d = np.arange(b + 1, dtype=np.int64)
-            den = 4 * a * b - f * f
-            base = disc + b * e * e + a * d * d
-            def_term = d * e * f
-            for sign in (1, -1):
-                c, rem = np.divmod(base - sign * def_term, den)
-                ok = (rem == 0) & (c >= b)
-                if sign < 0:
-                    ok &= def_term != 0
-                fi, ei, di = np.nonzero(ok)
-                ci = c[fi, ei, di]
-                keep = np.gcd(np.gcd.reduce([ci, di, ei, fi]), gcd(a, b)) == 1
-                for cc, dd, ee, ff in zip(
-                    *(x[keep].tolist() for x in (ci, di, ei, fi))
-                ):
-                    candidates.add((a, b, cc, sign * dd, sign * ee, sign * ff))
-    return candidates
+        f, e = np.divmod(np.arange((a + 1) ** 2, dtype=ity), a + 1)
+        ff, ee, ef, step = f * f, e * e, e * f, max(1, _SCAN_BLOCK // len(f))
+        stop = np.searchsorted(tri_b, _scan_bound_b(disc, a), "right")
+        for lo in range(a * (a + 1) >> 1, stop, step):
+            b, d = (x[lo:min(lo + step, stop), None] for x in (tri_b, tri_d))
+            den, base, dfe = 4 * a * b - ff, disc + a * d * d + b * ee, d * ef
+            num = np.stack((base - dfe, base + dfe))
+            c = np.rint(num.astype(fty) / den.astype(fty)).astype(ity)
+            s, i, j = np.nonzero(c * den == num)
+            if len(s):  # most blocks hold no hit: keep no array for them
+                hits.append(np.stack((np.full_like(s, a), s, i + lo, j, c[s, i, j])))
+    a, s, i, j, c = np.concatenate(hits, axis=1)
+    (f, e), b, d, sg = np.divmod(j, a + 1), tri_b[i], tri_d[i], 1 - 2 * s
+    keep = (c >= b) & (d * e * f >= s)  # the negative pattern has def != 0
+    keep &= np.gcd(np.gcd(np.gcd(a, b), np.gcd(c, d)), np.gcd(e, f)) == 1
+    return set(zip(*(x[keep].tolist() for x in (a, b, c, sg * d, sg * e, sg * f))))
 
 
 @lru_cache(maxsize=None)

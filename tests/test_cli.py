@@ -157,6 +157,18 @@ def test_prop54_cli(capsys):
     assert all("pass" in line for line in lines[1:])
 
 
+def test_a_passing_prop54_has_no_first_failing_n(capsys):
+    argv = ["prop54", "--p", "3", "--max-n", "50", "--format"]
+    _, out, _ = run_cli(argv + ["json"], capsys)
+    assert json.loads(out)["firstFail"] is None
+    _, out, _ = run_cli(argv + ["csv"], capsys)
+    assert out.splitlines()[1].startswith("3,50,pass,,")
+    _, out, _ = run_cli(argv + ["table"], capsys)
+    header, row = out.splitlines()
+    start = header.index("firstFail")
+    assert row[start:start + len("firstFail")].strip() == ""
+
+
 def test_prop54_rejects_nonprime(capsys):
     code, _, err = run_cli(["prop54", "--p", "9"], capsys)
     assert code == 2
@@ -341,14 +353,14 @@ GOLDEN = [
     (["genus", "--p", "23", "--format", "json"],
      "8822351471752ee5785c5409ea0e85e76d7669fb100d3693e38bcf5c4ed1ed7d"),
     (["prop54", "--p", "3,5,7", "--max-n", "300", "--format", "json"],
-     "ae57ba668898c1397d784702681ecca604772d9a291e4dc41a49578e0c6c43a6"),
+     "dfe66e14ffc31f884ca1ebb9f248305af6ce7244c8c4423236f9f390a2fc8c1e"),
     (["genus", "--p", "73", "--format", "json"],
      "8b42d6dd5a06767414490f8d8d7d9403153265c77b7bbb9d5f5a7aece104a05b"),
     (["genus", "--disc", "4624", "--format", "json"],
      "b1c0770e68fe698cc887fde30d5c54ad9a3809544c5ac34ff230191e5e3dc472"),
     (["prop54", "--p", "3,5,7,11,13,17,19,23", "--max-n", "1000",
       "--format", "json"],
-     "07e84be20e1c174b3951bb4bfcc6bef828918afab70a384d30ab0b33cd983444"),
+     "d341260c36135d1b22ec6e9e1547cb9250bed6c5d2add8d0b813241b1c92835a"),
 ]
 
 

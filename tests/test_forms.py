@@ -6,7 +6,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threesquares import forms
+from threesquares import cli, forms
 from threesquares.lattice import (
     TernaryForm,
     short_vectors,
@@ -391,6 +391,35 @@ def test_int64_certificates_fail_at_once():
         enumerate_classes(2**62)
     with pytest.raises(ValueError, match="int64"):
         short_vectors(I3, 2**62)
+
+
+@pytest.mark.parametrize(
+    "block, narrow",
+    [(1, forms._SCAN_NARROW), (37, forms._SCAN_NARROW), (forms._SCAN_BLOCK, 0)],
+    ids=["block-1", "block-37", "int64-float64"],
+)
+def test_scan_blocks_and_dtype_tiers_match_the_loop_code(monkeypatch, block, narrow):
+    monkeypatch.setattr(forms, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(forms, "_SCAN_NARROW", narrow)
+    for disc in (*range(1, 301), 5329):
+        assert _candidates(disc) == ref_candidates(disc), disc
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(601, 3000))
+def test_scan_matches_the_loop_code_at_mid_range(disc):
+    assert _candidates(disc) == ref_candidates(disc)
+
+
+def test_every_scan_the_cli_admits_runs_on_int32_float32():
+    # The certificate of _candidates: num and den stay below worst, which
+    # grows with the discriminant.
+    disc = cli.CLASS_SCAN_MAX_DISC
+    amax, bmax = _icbrt(disc // 2), _scan_bound_b(disc, 1)
+    worst = disc + amax * bmax * (2 * amax + bmax + 4)
+    assert worst < forms._SCAN_NARROW == 2**24
+    with pytest.raises(ValueError, match=r"\(worst intermediate \d+ >= 2\^53\)"):
+        enumerate_classes(2**62)
 
 
 def test_each_short_vector_array_is_certified_once(monkeypatch):
