@@ -22,7 +22,13 @@ from contextlib import nullcontext
 
 from .catalog import catalog
 from .genera import find_h_between, genus_partition, require_odd_prime, tg1, tg2
-from .lattice import TernaryForm, point_array_bytes, rep_count_ternary, s_table
+from .lattice import (
+    _S_MAX,
+    TernaryForm,
+    point_array_bytes,
+    rep_count_ternary,
+    s_table,
+)
 from .verify import cap_bytes, run_catalog, verify_prop54
 
 DEFAULT_ORDER = 1000
@@ -48,7 +54,6 @@ ARRAY_CAP = 1 << 30
 
 # What each cap bounds, in the words of its refusal.  A ternary theta
 # holds only a batch of its points at once, so its bound is on work.
-_S_TABLE = "needs a {}-byte array for its int32 s table"
 _WALK = "walks lattice points whose int64 rows would take {} bytes"
 _ARRAYS = "needs {} bytes for the arrays of one series"
 
@@ -305,9 +310,14 @@ def _cmd_prop54(args) -> int:
         except ValueError:
             raise UsageError(f"malformed prime {part!r}")
         primes.append(_odd_prime(p))
-    # The s table, and the points each genus member's theta walks.
-    s_bytes = 4 * (max(primes) ** 2 * args.max_n + 1)
-    _require_cap("--max-n", args.max_n, s_bytes, _S_TABLE)
+    # s(p^2 max_n) from r2 in uint16, and the points each genus member's
+    # theta walks.
+    top = max(primes) ** 2 * args.max_n
+    if top > _S_MAX:
+        raise UsageError(
+            f"--max-n {args.max_n} needs s({top}) from a uint16 r2, "
+            f"exact only up to {_S_MAX}"
+        )
     _require_cap("--max-n", args.max_n, point_array_bytes(3, args.max_n), _WALK)
     rows = []
     all_pass = True

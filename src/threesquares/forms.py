@@ -245,8 +245,13 @@ def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
     Sign flips of the variables couple the off-diagonal signs pairwise,
     so every class has a size-reduced form with d, e, f all >= 0 or all
     strictly negative; scanning those two patterns is complete.  Each a
-    meets rows b = a.._scan_bound_b(disc, a), d = 0..b with f, e <= a,
-    _SCAN_BLOCK cells at a time.  In D = c(4ab-f^2) + def - ad^2 - be^2,
+    meets rows b = a..min(_scan_bound_b(disc, a), bc), d = 0..b with f, e
+    <= a, _SCAN_BLOCK cells at a time.  In D = c(4ab-f^2) + def - ad^2 - be^2
+    the factor 4ab - f^2 >= 3ab is positive, so c >= b, |d| <= b and |e|,
+    |f| <= a give D >= 4ab^2 - a^2 b - a^2 b - ab^2 - a^2 b = 3ab(b - a):
+    no cell of a row with 3ab(b - a) > D keeps c >= b, and the largest b
+    with 3ab^2 - 3a^2 b <= D is bc = (3a^2 + isqrt(9a^4 + 12aD)) // 6a
+    (the floors of lattice._x_range).  In the same D,
     num <= D + 2ba^2 + ab^2 and den <= 4ab are below worst, hence exact
     floats below 2^(significand bits + 1): c = rint(num/den) is exact where
     den | num, and any other c fails c*den (< num + den) == num in integers.
@@ -264,7 +269,8 @@ def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
     for a in range(1, amax + 1):
         f, e = np.divmod(np.arange((a + 1) ** 2, dtype=ity), a + 1)
         ff, ee, ef, step = f * f, e * e, e * f, max(1, _SCAN_BLOCK // len(f))
-        stop = np.searchsorted(tri_b, _scan_bound_b(disc, a), "right")
+        bc = (3 * a * a + isqrt(9 * a**4 + 12 * a * disc)) // (6 * a)
+        stop = np.searchsorted(tri_b, min(_scan_bound_b(disc, a), bc), "right")
         for lo in range(a * (a + 1) >> 1, stop, step):
             b, d = (x[lo:min(lo + step, stop), None] for x in (tri_b, tri_d))
             den, base, dfe = 4 * a * b - ff, disc + a * d * d + b * ee, d * ef

@@ -8,9 +8,11 @@ first_mismatch, and every report serialises through one rule, _json:
 its compared fields under camelCase keys, tuples as lists.  Timing is
 not compared, so it stays out of equality and of the JSON.  The
 lattice-count checks run over
-1 <= n <= N, as the paper states them.  The slices of the int32 s table
-a check reads are widened to int64 before any arithmetic: the table's
-certificate bounds s(n), not p*s(n).  The weighted two-genus identity
+1 <= n <= N, as the paper states them.  verify_hs reads its s values
+from the int32 s table, widened to int64 before any arithmetic (the
+table's certificate bounds s(n), not p*s(n)); verify_theorems and
+verify_prop54 read s only at the points they check, as int64 from
+lattice.s_multiples.  The weighted two-genus identity
 takes its coefficients from Genus.weights48, so the terms a report
 prints are the terms that were checked.  The q-series route (sifted
 series built from theta sums and products) and the lattice route
@@ -42,7 +44,12 @@ from .catalog import (
 )
 from .forms import legendre
 from .genera import HResult, find_h, require_odd_prime, tg1, tg2
-from .lattice import point_array_bytes, s_table, theta_series_ternary
+from .lattice import (
+    point_array_bytes,
+    s_multiples,
+    s_table,
+    theta_series_ternary,
+)
 from .qseries import prod_ap_bytes
 
 
@@ -254,8 +261,9 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
 
     The two parity-restricted statements hold for n = 1, 2 mod 4; their
     extensions subtract a second form's counts and hold for every n.
+    s(9n), s(25n) and s(n) come from s_multiples, before any theta.
     """
-    s = s_table(25 * max_n)
+    s_n, s9, s25 = (s_multiples(k, max_n) for k in (1, 9, 25))
     g, h, g2, h2 = (
         evaluate(theta3(*form), max_n).array
         for form in (
@@ -265,9 +273,8 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
             (8, 3, 7, 2, 8, 4),
         )
     )
-    s_n = s[: max_n + 1].astype(np.int64)
-    d9 = s[::9][: max_n + 1].astype(np.int64) - 3 * s_n
-    d25 = s[::25].astype(np.int64) - 5 * s_n
+    d9 = s9 - 3 * s_n
+    d25 = s25 - 5 * s_n
     residue = np.arange(max_n + 1) % 4
     parity = (residue == 1) | (residue == 2)
     from_one = _from_one(max_n)
@@ -302,8 +309,10 @@ def verify_prop54(p: int, max_n: int) -> Prop54Report:
     """s(p^2 n) - p s(n) as 48 and -96 times automorph-weighted counts
     over the two distinguished genera, checked exactly for 1 <= n <= max_n.
 
-    The s table comes first: a size it refuses fails before any genus work."""
-    s = s_table(p * p * max_n)
+    s(p^2 n) and s(n) come first, from s_multiples, which builds r2 to
+    p^2 max_n and no s table: a size it refuses fails before any genus
+    work."""
+    s_q, s_n = s_multiples(p * p, max_n), s_multiples(1, max_n)
     genus1, genus2 = tg1(p), tg2(p)
     terms1 = tuple(
         (c, m.as_tuple()) for c, m in zip(genus1.weights48(), genus1.members)
@@ -316,7 +325,7 @@ def verify_prop54(p: int, max_n: int) -> Prop54Report:
     for sign, terms in ((1, terms1), (-1, terms2)):
         for c, form in terms:
             rhs += sign * c * evaluate(theta3(*form), max_n).array
-    lhs = s[:: p * p].astype(np.int64) - p * s[: max_n + 1].astype(np.int64)
+    lhs = s_q - p * s_n
     mismatch = _first_mismatch(lhs, rhs, _from_one(max_n))
     status = "pass" if mismatch is None else "fail"
     return Prop54Report(p, max_n, status, mismatch, terms1, terms2)

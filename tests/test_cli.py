@@ -361,13 +361,17 @@ GOLDEN = [
     (["prop54", "--p", "3,5,7,11,13,17,19,23", "--max-n", "1000",
       "--format", "json"],
      "d341260c36135d1b22ec6e9e1547cb9250bed6c5d2add8d0b813241b1c92835a"),
+    # A large prime: s at multiples of 151^2 = 22801, up to 22.8 M.
+    (["prop54", "--p", "151", "--max-n", "1000", "--format", "json"],
+     "81065f8bc47a166f99c848c24e667db8a8b21ecd51936eaae0f97ac454abf067"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN,
-    ids=["verify", "genus", "prop54", "genus73", "genus4624", "prop54to23"],
+    ids=["verify", "genus", "prop54", "genus73", "genus4624", "prop54to23",
+         "prop54at151"],
 )
 def test_reports_are_byte_identical_to_the_golden_output(capsys, argv, digest):
     code, out, err = run_cli(argv, capsys)
@@ -376,14 +380,16 @@ def test_reports_are_byte_identical_to_the_golden_output(capsys, argv, digest):
 
 
 def test_a_failing_prop54_prints_its_first_failing_n(monkeypatch, capsys):
-    real = verify.s_table
+    real = verify.s_multiples
 
-    def s_table(n_max):
-        table = real(n_max).copy()
-        table[49 * 12] += 1
-        return table
+    def s_multiples(step, count):
+        # s(49 * 12), wherever a request reads it.
+        s = real(step, count)
+        if 49 * 12 % step == 0 and 49 * 12 // step <= count:
+            s[49 * 12 // step] += 1
+        return s
 
-    monkeypatch.setattr(verify, "s_table", s_table)
+    monkeypatch.setattr(verify, "s_multiples", s_multiples)
     code, out, err = run_cli(
         ["prop54", "--p", "7", "--max-n", "100", "--format", "json"], capsys
     )
@@ -468,7 +474,7 @@ def test_prop54_refuses_a_huge_table_before_any_genus_work(monkeypatch, capsys):
     )
     assert code == 2
     assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "int32" in err
+    assert len(err.strip().splitlines()) == 1 and "uint16 r2" in err
 
 
 def test_zero_row_json_report_is_empty(capsys):
@@ -597,15 +603,25 @@ def test_genus_max_n_above_the_array_cap(monkeypatch, capsys):
 
 
 def test_prop54_max_n_above_the_array_cap(monkeypatch, capsys):
-    # The theta series to max_n decide for small primes, the int32 s table
-    # to p^2 * max_n for the largest prime when it passes 16384^2 entries.
+    # The theta series to max_n decide for small primes, the uint16 r2 to
+    # p^2 * max_n for the largest prime when it passes 16384^2 - 1.
     err = _refuses_before_work(
         monkeypatch, capsys, ["verify_prop54"],
         ["prop54", "--p", "3,127", "--max-n", "20000"],
     )
-    assert err.startswith(
-        f"error: --max-n 20000 needs a {4 * (127**2 * 20000 + 1)}-byte array "
-        "for its int32 s table, over the "
+    assert err == (
+        f"error: --max-n 20000 needs s({127**2 * 20000}) from a uint16 r2, "
+        "exact only up to 268435455\n"
+    )
+    # The threshold is 16384^2 - 1 itself: 547^2 * 897 is below it.
+    err = _refuses_before_work(
+        monkeypatch, capsys, ["verify_prop54"],
+        ["prop54", "--p", "547", "--max-n", "898"],
+    )
+    assert f"needs s({547**2 * 898}) from a uint16 r2" in err
+    _passes_the_cap(
+        monkeypatch, capsys, "verify_prop54",
+        ["prop54", "--p", "547", "--max-n", "897"],
     )
     err = _refuses_before_work(
         monkeypatch, capsys, ["verify_prop54"],

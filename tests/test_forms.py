@@ -411,6 +411,15 @@ def test_scan_matches_the_loop_code_at_mid_range(disc):
     assert _candidates(disc) == ref_candidates(disc)
 
 
+def test_scan_rows_stop_where_c_can_no_longer_reach_b():
+    # With |e|, |f| <= a and |d| <= b, c >= b needs D >= 3ab(b - a).  At
+    # D = 32 that cut, b <= 3 for a = 1, is reached below Gauss's b <= 4.
+    assert (1, 3, 3, 1, 0, 1) in _candidates(32)
+    assert _scan_bound_b(32, 1) == 4
+    for disc in (4624, 8464):
+        assert _candidates(disc) == ref_candidates(disc), disc
+
+
 def test_every_scan_the_cli_admits_runs_on_int32_float32():
     # The certificate of _candidates: num and den stay below worst, which
     # grows with the discriminant.

@@ -19,6 +19,7 @@ from threesquares.lattice import (
     identity_form,
     point_array_bytes,
     rep_count_ternary,
+    s_multiples,
     s_table,
     short_vectors,
     theta_series_binary,
@@ -850,10 +851,65 @@ def test_cold_s_table_peaks_at_six_bytes_an_entry():
 @given(st.integers(0, 2000))
 def test_four_routes_to_s_agree(n_max):
     table = s_table(n_max)
+    multiples = s_multiples(1, n_max)
     theta = theta_series_ternary(identity_form(), n_max)
     cube = qs.theta_f(1, 1, n_max).pow(3)
     for n in range(n_max + 1):
-        assert int(table[n]) == theta[n] == cube[n] == s_of_n(n), n
+        assert int(table[n]) == multiples[n] == theta[n] == cube[n] == s_of_n(n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 700), st.integers(0, 300))
+@example(1, 300)
+@example(37, 0)
+@example(1, 0)
+# Points where z^2 = step * n exactly, whose slices start at r2(0):
+# 700 * 7 = 70^2, and 9 * n = (3k)^2 at every square n.
+@example(700, 7)
+@example(9, 300)
+def test_s_multiples_match_the_s_table(step, count):
+    s = s_multiples(step, count)
+    assert s.dtype == np.int64 and s.shape == (count + 1,)
+    assert np.array_equal(s, s_table(step * count)[::step]), (step, count)
+
+
+def test_s_multiples_refuse_past_the_certificate_before_any_array(monkeypatch):
+    # The uint16 r2 is exact up to _S_MAX, the bound s_table uses.
+    tracemalloc.start()
+    try:
+        for step, count in ((1, lattice._S_MAX + 1), (16384, 16384)):
+            with pytest.raises(ValueError, match="uint16 r2"):
+                s_multiples(step, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    class Reached(Exception):
+        pass
+
+    def reached(width):
+        raise Reached(width)
+
+    # _S_MAX itself is let through to the r2 build.
+    monkeypatch.setattr(lattice, "_r2_planes", reached)
+    with pytest.raises(Reached):
+        s_multiples(lattice._S_MAX, 1)
+
+
+@pytest.mark.parametrize("step, count", [(1, 1 << 20), (1024, 1024)])
+def test_s_multiples_hold_r2_and_no_s_table(step, count):
+    # r2 as planes and flat, 3.75 bytes an entry, then the flat r2 and
+    # the int64 sums; an int32 s table would add 4 bytes an entry.
+    top = step * count
+    tracemalloc.start()
+    try:
+        s_multiples(step, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The slack is the ufunc cast buffer and bookkeeping, not an array.
+    assert peak <= max(3.75 * (top + 8), 2 * (top + 8) + 8 * (count + 1)) + (1 << 17)
 
 
 def hurwitz6(n_max):
@@ -872,6 +928,23 @@ def hurwitz6(n_max):
                 # c = a: drop b < 0; weigh (a, 0, a) 3 and (a, a, a) 2.
                 h6[n[0]] -= 6 if b < 0 else 3 if b == 0 else 4 if b == a else 0
     return h6
+
+
+@functools.lru_cache(maxsize=1)
+def hurwitz6_to(n_max):
+    return hurwitz6(n_max)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 100))
+@example(13, 100)
+def test_gauss_route_to_s_at_multiples_of_p_squared(p, count):
+    # s(m) = 12 H(4m) - 24 H(m) at m = p^2 n, n = 1..count, with no s table.
+    h6 = hurwitz6_to(4 * 13**2 * 100)
+    m = p * p * np.arange(1, count + 1)
+    s = s_multiples(p * p, count)
+    assert s[0] == 1
+    assert np.array_equal(s[1:], 2 * h6[4 * m] - 4 * h6[m]), (p, count)
 
 
 def test_gauss_class_number_route_to_s(monkeypatch):

@@ -73,6 +73,19 @@ def test_theorems_small():
     assert {r.id for r in reports} == {"T1.1", "T1.2", "T5.2", "T5.3"}
 
 
+def test_only_the_recursion_builds_an_s_table(monkeypatch):
+    # prop54 and the theorems read s at the points they check, from
+    # s_multiples; verify_hs still reads s(p^2 n) and s(n) off one table.
+    def no_table(n_max):
+        raise AssertionError(f"s_table({n_max})")
+
+    monkeypatch.setattr(verify, "s_table", no_table)
+    assert verify_prop54(5, 60).status == "pass"
+    assert [r.status for r in verify_theorems(60)] == ["pass"] * 4
+    with pytest.raises(AssertionError, match=r"s_table\(2500\)"):
+        verify_hs(5, 100)
+
+
 def test_prop54_coefficients_echo_printed_displays():
     expected = {
         3: ({(2, canon((1, 1, 3, 0, 0, 1)))}, {(4, canon((4, 3, 4, 0, 4, 0)))}),
@@ -209,16 +222,25 @@ G2, H2 = (4, 3, 4, 0, 4, 0), (8, 3, 7, 2, 8, 4)
 
 
 def bump_s(monkeypatch, bumps):
-    """Make verify.s_table add bumps[i] to s(i) in every table it builds."""
-    real = verify.s_table
+    """Add bumps[i] to s(i) wherever verify reads it: in every table
+    verify.s_table builds and every array verify.s_multiples returns."""
+    real_table, real_multiples = verify.s_table, verify.s_multiples
 
     def s_table(n_max):
-        table = real(n_max).copy()
+        table = real_table(n_max).copy()
         for i, delta in bumps.items():
             table[i] += delta
         return table
 
+    def s_multiples(step, count):
+        s = real_multiples(step, count)
+        for i, delta in bumps.items():
+            if i % step == 0 and i // step <= count:
+                s[i // step] += delta
+        return s
+
     monkeypatch.setattr(verify, "s_table", s_table)
+    monkeypatch.setattr(verify, "s_multiples", s_multiples)
 
 
 def bump_theta(monkeypatch, bumps):
