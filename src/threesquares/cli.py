@@ -41,9 +41,9 @@ USAGE_ERROR = 2
 COUNT_MAX_N = 10**7
 
 # tg1(p) classifies every form of discriminant p^2, in time growing about
-# as p^3: p = 409 takes about 0.9 s on a 2-vCPU Xeon, p = 547 about 2.7 s.
+# as p^3: p = 409 takes about 0.3 s on a 2-vCPU Xeon, p = 547 about 0.7 s.
 # genus_partition(D) for all genera of D costs more: 85264 takes about
-# 1.7 s, 274576 about 5.6 s and 56 MB.  genus --p and prop54 --p refuse a
+# 0.3 s, 274576 about 1.4 s and 49 MB.  genus --p and prop54 --p refuse a
 # larger p^2 before the primality test, and genus --disc a larger D.
 CLASS_SCAN_MAX_DISC = 3 * 10**5
 

@@ -1,17 +1,17 @@
 """Class-level arithmetic of positive definite ternary forms.
 
-Reduction works through short vectors rather than coefficient moves: the
-canonical representative of a class is the lexicographically smallest
-coefficient tuple among all equivalent forms satisfying the size bounds
-a <= b <= c, |f| <= a, |e| <= a, |d| <= b.  Its diagonal is exactly the
-triple of successive minima (attained by a basis in rank 3), so the
-search space is a provably complete finite set of short-vector triples.
+Each class has one Eisenstein-reduced form, its canonical form here as
+in Brandt and Intrau's tables and Schiemann (Math. Ann. 308, 1997):
+with (a, b, c, d, e, f) the coefficients of x^2, y^2, z^2, yz, zx, xy,
+it has a <= b <= c, |f|, |e| <= a, |d| <= b and meets _eisenstein.  Its
+diagonal is the successive minima, so reduce_form finds it in a complete
+finite set of short-vector triples, and the class scan keeps it as is.
 
 The class scan rests on Gauss's bound for reduced positive ternary forms
 (Gauss 1831, in his review of Seeber): with G the half-integral Gram
 matrix of a*x^2 + ... + f*xy and D = 4 det G the discriminant used here,
 a form whose diagonal is the successive minima has abc <= 2 det G = D/2,
-with equality at D = 2 for (1, 1, 1, -1, -1, 0).  So the scan needs only
+with equality at D = 2 for (1, 1, 1, 1, 1, 1).  So the scan needs only
 a^3 <= D/2 and a*b^2 <= D/2.
 
 Both hot loops run as exact numpy code that proves its bound first and
@@ -65,6 +65,19 @@ def apply_transform(form: TernaryForm, u: Matrix) -> TernaryForm:
     )
 
 
+def _eisenstein(a, b, c, d, e, f):
+    """Eisenstein's conditions beyond size reduction, which both callers
+    guarantee.  As a, b > 0, each tie on a size bound binds in one octant.
+    """
+    t = a + b + d + e + f
+    ok = ((d > 0) & (e > 0) & (f > 0)) | ((d <= 0) & (e <= 0) & (f <= 0))
+    ok &= (t > 0) | ((t == 0) & (2 * a + 2 * e + f <= 0))
+    ok &= ((a != b) | (abs(d) <= abs(e))) & ((b != c) | (abs(e) <= abs(f)))
+    ok &= ((a != f) | (e <= 2 * d)) & ((a != e) | (f <= 2 * d))
+    ok &= ((b != d) | (f <= 2 * e)) & ((a != -f) | (e == 0))
+    return ok & ((a != -e) | (f == 0)) & ((b != -d) | (f == 0))
+
+
 def _icbrt(n: int) -> int:
     """Exact floor cube root of a non-negative integer."""
     if n < 0:
@@ -102,7 +115,7 @@ def _minima(form: TernaryForm):
     """First two successive minima, and the short vectors that found them.
 
     Returns (lam1, lam2, top, vecs) with vecs = short_vectors(form, top).
-    lam1 * lam2^2 <= D/2 by Gauss's bound (see _scan_bound_b), so
+    lam1 * lam2^2 <= D/2 by Gauss's bound (module docstring), so
     top > isqrt(D) covers both minima.  The wider top reaches more third
     vectors, which saves the reduction a second enumeration.
     """
@@ -118,15 +131,16 @@ def _minima(form: TernaryForm):
 
 
 def reduce_form_with_transform(form: TernaryForm) -> tuple[TernaryForm, Matrix]:
-    """Canonical representative and a transform U with U^T G_F U = G_canonical.
+    """Eisenstein-reduced form and a transform U with U^T G_F U = G_reduced.
 
     Searches bases (v1, v2, v3) with values (lam1, lam2, c) and cross
     terms inside the size bounds; the first feasible c is the third
-    minimum, and the smallest (d, e, f) at that c is the canonical tail.
-    The vector bound D/(3*lam1*lam2) + lam2 provably covers every
-    admissible third diagonal, and the first feasible c does not depend
-    on how far the vectors reach beyond it, so the vectors of _minima
-    serve whenever they reach that bound.
+    minimum, and the one (d, e, f) at that c meeting _eisenstein is the
+    Eisenstein form's tail (Schiemann 1997).  The vector bound
+    D/(3*lam1*lam2) + lam2 provably covers every admissible third
+    diagonal, and the first feasible c does not depend on how far the
+    vectors reach beyond it, so the vectors of _minima serve whenever
+    they reach that bound.
     """
     d = form.disc()
     lam1, lam2, top, vecs = _minima(form)
@@ -134,11 +148,7 @@ def reduce_form_with_transform(form: TernaryForm) -> tuple[TernaryForm, Matrix]:
     if bound > top:
         vecs = short_vectors(form, bound)
         _certify(form, vecs[:, :3])
-    found = _reduce_search(form, lam1, lam2, vecs)
-    assert found is not None, "reduction search must find a basis"
-    best, best_basis = found
-    u = mat_transpose(best_basis)
-    reduced = TernaryForm(*best)
+    reduced, u = _reduce_search(form, lam1, lam2, vecs)
     assert apply_transform(form, u) == reduced
     return reduced, u
 
@@ -148,24 +158,23 @@ _SEARCH_BLOCK = 1 << 16
 
 
 def _reduce_search(form, lam1, lam2, vecs):
-    """Smallest (c, d, e, f) over bases with values (lam1, lam2, c), or None.
+    """The Eisenstein form of the class and a basis U that gives it.
 
-    vecs is a short_vectors array reaching at least lam2, already
-    passed through _certify.
-
-    Pairs (v1, v2) and third vectors keep the enumeration order of
-    short_vectors, and ties resolve to the first basis in that order.
-    Third vectors are scanned in ascending value blocks of about
-    _SEARCH_BLOCK / len(pairs), split only between values, and the scan
-    stops at the first block that holds a unimodular basis.
+    Over bases of values (lam1, lam2, c), exactly one (c, d, e, f) meets
+    _eisenstein, at the least feasible c (Schiemann 1997; asserted).  vecs
+    is a short_vectors array reaching at least lam2, already passed
+    through _certify.  Pairs (v1, v2) and third vectors keep the order of
+    short_vectors, and U is the first basis in that order.  Third vectors
+    are scanned in ascending value blocks of about _SEARCH_BLOCK /
+    len(pairs), split only between values, and the scan stops at the
+    first block that holds a unimodular basis.
     """
     v, vals = vecs[:, :3], vecs[:, 3]
     g = np.array(form.gram2(), dtype=np.int64)
     v1, v2 = v[vals == lam1], v[vals == lam2]
     fmat = v1 @ g @ v2.T
+    # Some pair exists: were |f| > lam1 for the minima, v2 -+ v1 would be shorter.
     i1, i2 = np.nonzero(np.abs(fmat) <= lam1)
-    if not len(i1):
-        return None
     p1, p2, fcoef = v1[i1], v2[i2], fmat[i1, i2]
     p1g, p2g, cross = p1 @ g, p2 @ g, _cross(p1, p2)
     order = np.argsort(vals, kind="stable")
@@ -182,15 +191,16 @@ def _reduce_search(form, lam1, lam2, vecs):
         ok &= np.abs(cross @ v3) == 1
         i, j = np.nonzero(ok)
         if len(i):
-            c, d, e = cvals[start:stop][j], dcoef[i, j], ecoef[i, j]
-            f = fcoef[i]
-            # lexsort is stable, so equal keys keep the (pair, v3) loop order.
-            k = np.lexsort((f, e, d, c))[0]
-            best = (lam1, lam2, int(c[k]), int(d[k]), int(e[k]), int(f[k]))
-            basis = (p1[i[k]], p2[i[k]], v3[:, j[k]])
-            return best, tuple(tuple(int(x) for x in w) for w in basis)
+            c, d, e, f = cvals[start:stop][j], dcoef[i, j], ecoef[i, j], fcoef[i]
+            (ks,) = np.nonzero(_eisenstein(lam1, lam2, c, d, e, f))
+            tails = set(zip(*(x[ks].tolist() for x in (c, d, e, f))))
+            assert len(tails) == 1, f"{form}: Eisenstein tails {tails}"
+            k = ks[0]
+            u = np.stack((p1[i[k]], p2[i[k]], v3[:, j[k]]), 1).tolist()
+            reduced = TernaryForm(lam1, lam2, *(int(x[k]) for x in (c, d, e, f)))
+            return reduced, tuple(map(tuple, u))
         start = stop
-    return None
+    raise AssertionError(f"no basis of {form} reaches the third minimum")
 
 
 def reduce_form(form: TernaryForm) -> TernaryForm:
@@ -225,13 +235,7 @@ def automorph_count(form: TernaryForm) -> int:
 
 
 def _scan_bound_b(disc: int, a: int) -> int:
-    """Upper bound for b over the scanned forms with leading coefficient a.
-
-    Every class has a sign-coupled size-reduced form whose diagonal is
-    its successive minima.  Gauss's bound gives abc <= D/2 for it (D = 4
-    det of the half-integral Gram; equality at D = 2 for (1, 1, 1, -1,
-    -1, 0)), and b <= c then gives a*b^2 <= D/2.
-    """
+    """Bound on b at leading coefficient a: a*b^2 <= D/2 by Gauss's bound."""
     return isqrt(disc // (2 * a))
 
 
@@ -240,15 +244,14 @@ _SCAN_BLOCK, _SCAN_NARROW = 1 << 14, 1 << 24
 
 
 def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
-    """Primitive forms of the scan region, as coefficient tuples.
+    """The primitive Eisenstein-reduced forms of a discriminant, as tuples.
 
-    Sign flips of the variables couple the off-diagonal signs pairwise,
-    so every class has a size-reduced form with d, e, f all >= 0 or all
-    strictly negative; scanning those two patterns is complete.  Each a
-    meets rows b = a..min(_scan_bound_b(disc, a), bc), d = 0..b with f, e
-    <= a, _SCAN_BLOCK cells at a time.  In D = c(4ab-f^2) + def - ad^2 - be^2
-    the factor 4ab - f^2 >= 3ab is positive, so c >= b, |d| <= b and |e|,
-    |f| <= a give D >= 4ab^2 - a^2 b - a^2 b - ab^2 - a^2 b = 3ab(b - a):
+    They lie in the octants d, e, f > 0 and <= 0, scanned as |d|, |e|, |f|
+    with a sign s = 0 or 1; the tail (0, 0, 0), in both, is one set entry.
+    Each a meets rows b = a..min(_scan_bound_b(disc, a), bc), d = 0..b
+    with f, e <= a, _SCAN_BLOCK cells at a time.  In D = c(4ab-f^2) + def
+    - ad^2 - be^2 the factor 4ab - f^2 >= 3ab is positive, so c >= b, |d|
+    <= b and |e|, |f| <= a give D >= 4ab^2 - 3a^2 b - ab^2 = 3ab(b - a):
     no cell of a row with 3ab(b - a) > D keeps c >= b, and the largest b
     with 3ab^2 - 3a^2 b <= D is bc = (3a^2 + isqrt(9a^4 + 12aD)) // 6a
     (the floors of lattice._x_range).  In the same D,
@@ -280,27 +283,24 @@ def _candidates(disc: int) -> set[tuple[int, int, int, int, int, int]]:
             if len(s):  # most blocks hold no hit: keep no array for them
                 hits.append(np.stack((np.full_like(s, a), s, i + lo, j, c[s, i, j])))
     a, s, i, j, c = np.concatenate(hits, axis=1)
-    (f, e), b, d, sg = np.divmod(j, a + 1), tri_b[i], tri_d[i], 1 - 2 * s
-    keep = (c >= b) & (d * e * f >= s)  # the negative pattern has def != 0
+    (f, e), b, sg = np.divmod(j, a + 1), tri_b[i], 1 - 2 * s
+    d, e, f = sg * tri_d[i], sg * e, sg * f
+    keep = (c >= b) & _eisenstein(a, b, c, d, e, f)
     keep &= np.gcd(np.gcd(np.gcd(a, b), np.gcd(c, d)), np.gcd(e, f)) == 1
-    return set(zip(*(x[keep].tolist() for x in (a, b, c, sg * d, sg * e, sg * f))))
+    return set(zip(*(x[keep].tolist() for x in (a, b, c, d, e, f))))
 
 
 @lru_cache(maxsize=None)
 def enumerate_classes(disc: int) -> tuple[TernaryForm, ...]:
-    """Canonical representatives of every primitive class of a discriminant.
+    """The Eisenstein forms of the primitive classes of a discriminant, sorted.
 
-    Scans a region holding a size-reduced form of every class (within
-    Gauss's bound, sign-coupled off-diagonals; see _scan_bound_b) and
-    merges the candidates into classes by reducing every one of them to
-    its canonical form.  Imprimitive forms are excluded: a form with
-    coefficient gcd t is t times a form of discriminant disc/t^3, so it
-    belongs to a smaller discriminant's classification.
+    Each class has one, inside the region of _candidates: none is reduced.
+    Imprimitive forms, t times a form of discriminant disc/t^3 for their
+    coefficient gcd t, belong to a smaller discriminant's classification.
     """
     if disc < 1:
         raise ValueError("discriminant must be positive")
-    canon = {reduce_form(TernaryForm(*t)).as_tuple() for t in _candidates(disc)}
-    return tuple(TernaryForm(*t) for t in sorted(canon))
+    return tuple(TernaryForm(*t) for t in sorted(_candidates(disc)))
 
 
 def legendre(a: int, p: int) -> int:

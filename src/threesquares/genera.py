@@ -288,14 +288,12 @@ def genus_partition(disc: int) -> tuple[Genus, ...]:
     groups: dict[tuple, list[TernaryForm]] = {}
     for form in enumerate_classes(disc):
         groups.setdefault(genus_symbol(form), []).append(form)
-    genera = []
-    for symbol in groups:
-        members = tuple(sorted(groups[symbol], key=lambda f: f.as_tuple()))
-        genera.append(
-            Genus(disc, members, tuple(automorph_count(m) for m in members))
-        )
-    genera.sort(key=lambda g: g.members[0].as_tuple())
-    return tuple(genera)
+    # The classes come sorted, so each genus's members are too, and the
+    # genera are ordered by their first members.
+    return tuple(
+        Genus(disc, tuple(members), tuple(automorph_count(m) for m in members))
+        for members in groups.values()
+    )
 
 
 def require_odd_prime(p: int) -> None:

@@ -1,6 +1,8 @@
 """Reduction, equivalence, automorphs, and class enumeration."""
 
+import hashlib
 import random
+from collections import Counter
 from math import gcd, isqrt
 
 import pytest
@@ -12,6 +14,7 @@ from threesquares.lattice import (
     short_vectors,
     theta_series_ternary,
 )
+from threesquares.genera import genus_partition
 from threesquares.forms import (
     _candidates,
     _icbrt,
@@ -268,6 +271,39 @@ def ref_short_vectors(form, bound):
     ]
 
 
+def ref_eisenstein(t):
+    """Eisenstein's reduction conditions, one if-statement each."""
+    a, b, c, d, e, f = t
+    if not (0 < a <= b <= c and abs(f) <= a and abs(e) <= a and abs(d) <= b):
+        return False
+    positive = d > 0 and e > 0 and f > 0
+    if not positive and not (d <= 0 and e <= 0 and f <= 0):
+        return False
+    if a + b + d + e + f < 0:
+        return False
+    if a == b and abs(d) > abs(e):
+        return False
+    if b == c and abs(e) > abs(f):
+        return False
+    if a + b + d + e + f == 0 and 2 * a + 2 * e + f > 0:
+        return False
+    if positive:
+        if a == f and e > 2 * d:
+            return False
+        if a == e and f > 2 * d:
+            return False
+        if b == d and f > 2 * e:
+            return False
+    else:
+        if a == -f and e != 0:
+            return False
+        if a == -e and f != 0:
+            return False
+        if b == -d and f != 0:
+            return False
+    return True
+
+
 def ref_candidates(disc):
     candidates = set()
     for a in range(1, _icbrt(disc // 2) + 1):
@@ -277,15 +313,13 @@ def ref_candidates(disc):
                 for e in range(0, a + 1):
                     base = disc + b * e * e
                     for dd in range(0, b + 1):
-                        num = base - dd * e * f + a * dd * dd
-                        cc, rem = divmod(num, den)
-                        if rem == 0 and cc >= b and gcd(a, b, cc, dd, e, f) == 1:
-                            candidates.add((a, b, cc, dd, e, f))
-                        if dd and e and f:
-                            num2 = base + dd * e * f + a * dd * dd
-                            cc2, rem2 = divmod(num2, den)
-                            if rem2 == 0 and cc2 >= b and gcd(a, b, cc2, dd, e, f) == 1:
-                                candidates.add((a, b, cc2, -dd, -e, -f))
+                        # The octant d, e, f > 0, then d, e, f <= 0.
+                        for sg in ((1, -1) if dd and e and f else (-1,)):
+                            num = base - sg * dd * e * f + a * dd * dd
+                            cc, rem = divmod(num, den)
+                            t = (a, b, cc, sg * dd, sg * e, sg * f)
+                            if rem == 0 and gcd(*t) == 1 and ref_eisenstein(t):
+                                candidates.add(t)
     return candidates
 
 
@@ -326,6 +360,8 @@ def ref_reduce_search(form, lam1, lam2, bound):
                 pairs.append((v1, v2, r1, row(v2), fcoef))
     best = None
     best_basis = None
+    tails = set()
+    feasible = False
     for cval in sorted(v for v in by_value if v >= lam2):
         for v1, v2, (a0, a1, a2), (b0, b1, b2), fcoef in pairs:
             for v3 in by_value[cval]:
@@ -339,10 +375,14 @@ def ref_reduce_search(form, lam1, lam2, bound):
                 if mat_det(mat_transpose((v1, v2, v3))) not in (1, -1):
                     continue
                 key = (lam1, lam2, cval, dcoef, ecoef, fcoef)
-                if best is None or key < best:
-                    best = key
-                    best_basis = (v1, v2, v3)
-        if best is not None:
+                if ref_eisenstein(key):
+                    tails.add(key)
+                    if best is None:
+                        best = key
+                        best_basis = (v1, v2, v3)
+                feasible = True
+        if feasible:
+            assert tails == {best}, (form, tails)
             return best, best_basis
     return None
 
@@ -376,14 +416,17 @@ def test_short_vectors_rows_follow_the_point_order():
     ids=["1-300", "301-600", "4624", "8464"],
 )
 def test_array_scan_and_search_match_the_loop_code(discs):
+    # Each class is reduced from a random unimodular image of its
+    # Eisenstein form, and must come back to that form.
+    rng = random.Random(discs[0])
     for disc in discs:
         candidates = ref_candidates(disc)
         assert _candidates(disc) == candidates, disc
         for t in candidates:
-            form = TernaryForm(*t)
-            assert reduce_form_with_transform(form) == (
-                ref_reduce_with_transform(form)
-            ), t
+            form = apply_transform(TernaryForm(*t), random_unimodular(rng, steps=3))
+            reduced = reduce_form_with_transform(form)
+            assert reduced == ref_reduce_with_transform(form), (t, form)
+            assert reduced[0].as_tuple() == t, (t, form)
 
 
 def test_int64_certificates_fail_at_once():
@@ -414,7 +457,7 @@ def test_scan_matches_the_loop_code_at_mid_range(disc):
 def test_scan_rows_stop_where_c_can_no_longer_reach_b():
     # With |e|, |f| <= a and |d| <= b, c >= b needs D >= 3ab(b - a).  At
     # D = 32 that cut, b <= 3 for a = 1, is reached below Gauss's b <= 4.
-    assert (1, 3, 3, 1, 0, 1) in _candidates(32)
+    assert (1, 3, 3, -1, 0, -1) in _candidates(32)
     assert _scan_bound_b(32, 1) == 4
     for disc in (4624, 8464):
         assert _candidates(disc) == ref_candidates(disc), disc
@@ -457,28 +500,16 @@ def wide_scan_bound_b(disc, a):
     return max(isqrt(disc // a), 2 * a)
 
 
-def sign_normalised(t):
-    a, b, c, d, e, f = t
-    if d * e * f >= 0:
-        return (a, b, c, abs(d), abs(e), abs(f))
-    return (a, b, c, -abs(d), -abs(e), -abs(f))
-
-
 @pytest.mark.parametrize(
     "discs", [range(1, 601), (4624, 8464, 16 * 73 * 73)], ids=["1-600", "large"]
 )
 def test_gauss_bounded_scan_drops_no_class(monkeypatch, discs):
+    # The wider scan finds no Eisenstein form past Gauss's bound.
     for disc in discs:
         narrow = _candidates(disc)
         with monkeypatch.context() as m:
             m.setattr(forms, "_scan_bound_b", wide_scan_bound_b)
-            wide = _candidates(disc)
-        assert narrow <= wide, disc
-        for t in wide - narrow:
-            canon = reduce_form(TernaryForm(*t)).as_tuple()
-            a, b, c = canon[:3]
-            assert 2 * a * b * c <= disc, (disc, t, canon)
-            assert sign_normalised(canon) in narrow, (disc, t, canon)
+            assert _candidates(disc) == narrow, disc
 
 
 AUT_DISCS = (*range(1, 301), 4624, 8464, 16 * 73 * 73)
@@ -492,8 +523,59 @@ def test_every_class_meets_gauss_bound():
 
 def test_gauss_bound_is_attained_at_disc_2():
     (form,) = enumerate_classes(2)
-    assert form.as_tuple() == (1, 1, 1, -1, -1, 0)
+    assert form.as_tuple() == (1, 1, 1, 1, 1, 1)
     assert 2 * form.a * form.b * form.c == form.disc() == 2
+
+
+# -- one Eisenstein form per class: counts of the reduce-every-candidate code -
+
+
+# len(enumerate_classes(D)) for D = 1..2000, joined by commas, as the
+# enumeration gave it when it reduced every scan candidate and merged the
+# results into classes.
+CLASS_COUNTS_SHA256 = "dbfb3686d0c9abfb6be3288ae035a5ab5ceb293ac5131f589d1adbb92f29f13c"
+
+# Per genus of 274576 = 16*131^2, sorted: its size and the pairs
+# (automorph count, members with it), from the same enumeration.
+GENERA_274576 = [
+    (11, ((2, 1), (4, 8), (8, 1), (12, 1))),
+    (13, ((2, 4), (4, 8), (8, 1))), (13, ((2, 4), (4, 8), (8, 1))),
+    (13, ((2, 4), (4, 8), (16, 1))), (13, ((2, 4), (4, 8), (16, 1))),
+    (24, ((2, 9), (4, 14), (8, 1))), (35, ((2, 10), (4, 22), (8, 2), (12, 1))),
+    (73, ((2, 57), (4, 16))),
+    (1106, ((2, 1024), (4, 80), (8, 1), (16, 1))),
+    (1106, ((2, 1024), (4, 80), (8, 1), (16, 1))),
+    (1122, ((2, 1040), (4, 81), (8, 1))), (1122, ((2, 1040), (4, 81), (8, 1))),
+]
+
+
+def test_class_counts_match_the_reduce_every_candidate_enumeration():
+    counts = [len(enumerate_classes(disc)) for disc in range(1, 2001)]
+    digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
+    assert (sum(counts[:400]), sum(counts[400:]), digest) == (
+        6852, 125461, CLASS_COUNTS_SHA256
+    ), "expected 6852 classes for D <= 400 and 125461 for 401..2000"
+
+
+def test_large_discriminants_keep_their_classes_genera_and_automorphs():
+    genera = genus_partition(16 * 73 * 73)
+    assert (sum(len(g.members) for g in genera), len(genera)) == (1522, 12)
+    genera = genus_partition(16 * 131 * 131)
+    assert sum(len(g.members) for g in genera) == 4651
+    found = [
+        (len(g.members), tuple(sorted(Counter(g.aut_counts).items())))
+        for g in genera
+    ]
+    assert sorted(found) == GENERA_274576
+
+
+def test_the_enumeration_does_no_basis_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_classes searched a basis")
+
+    monkeypatch.setattr(forms, "short_vectors", refuse)
+    monkeypatch.setattr(forms, "reduce_form_with_transform", refuse)
+    assert len(enumerate_classes(16 * 73 * 73)) == 1522
 
 
 # -- automorphs: the loop code the array filter replaced --------------------
