@@ -20,9 +20,9 @@ s(n), the number of representations as three squares, comes two ways,
 both from the r2 of _r2_planes.  s_table returns a read-only prefix view
 of the largest s table built so far, held for the whole process in the
 module dict _S_CACHE.  s_multiples returns s(step*n) for n <= count
-alone, one strided slice of r2 per z, and holds no s table: the route of
-a check that reads s only at multiples of p^2 (or of 9 and 25) and below
-its order.
+alone, for one or more steps over one r2, one strided slice of it per z
+and step, and holds no s table: the route of a check that reads s only
+at multiples of p^2 (or of 9 and 25) and below its order.
 """
 
 from __future__ import annotations
@@ -580,20 +580,22 @@ def s_table(n_max: int) -> np.ndarray:
     return s
 
 
-def s_multiples(step: int, count: int) -> np.ndarray:
-    """s(step*n) for n = 0..count as int64, with no s table.
+def s_multiples(steps: tuple[int, ...], count: int) -> np.ndarray:
+    """s(step*n) for n = 0..count, one int64 row per step in steps, with
+    no s table.
 
-    r2 up to top = step*count comes from _r2_planes, unplaned into one
-    flat uint16 array (rows 1:7 of _R2_ROWS; row 0 is residue 5 one
-    column later and row 3 repeats row 1).  In s(m) = r2(m) + 2*sum_{z >= 1}
-    r2(m - z^2) the points step*n - z^2 of one z, n >= n0 = ceil(z^2 /
-    step), are one strided slice of r2, added into an accumulator over
-    n.  r2 is exact by s_table's certificate, r2(n) < 2^16 for n <=
-    _S_MAX; a larger top raises ValueError before anything is allocated.
+    r2 up to top = max(steps)*count is built once, from _r2_planes,
+    unplaned into one flat uint16 array (rows 1:7 of _R2_ROWS; row 0 is
+    residue 5 one column later and row 3 repeats row 1).  In s(m) =
+    r2(m) + 2*sum_{z >= 1} r2(m - z^2) the points step*n - z^2 of one z,
+    n >= n0 = ceil(z^2 / step), are one strided slice of r2, added into
+    the step's row.  r2 is exact by s_table's certificate, r2(n) < 2^16
+    for n <= _S_MAX; a larger top raises ValueError before anything is
+    allocated.
     """
     if count < 0:
         raise ValueError(f"s at multiples needs count >= 0, got {count}")
-    top = step * count
+    top = max(steps) * count
     if top > _S_MAX:
         raise ValueError(
             f"s up to {top} overflows the uint16 r2 "
@@ -605,11 +607,13 @@ def s_multiples(step: int, count: int) -> np.ndarray:
     r2[:, list(_R2_ROWS[1:])] = planes[1:].T
     del planes
     r2 = r2.reshape(-1)
-    acc = np.zeros(count + 1, dtype=np.int64)
-    for z in range(1, isqrt(top) + 1):
-        zz = z * z
-        n0 = -(-zz // step)
-        acc[n0:] += r2[step * n0 - zz:top + 1 - zz:step]
-    acc *= 2
-    acc += r2[:top + 1:step]
+    acc = np.zeros((len(steps), count + 1), dtype=np.int64)
+    for row, step in zip(acc, steps):
+        end = step * count + 1
+        for z in range(1, isqrt(end - 1) + 1):
+            zz = z * z
+            n0 = -(-zz // step)
+            row[n0:] += r2[step * n0 - zz:end - zz:step]
+        row *= 2
+        row += r2[:end:step]
     return acc

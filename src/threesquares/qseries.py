@@ -15,7 +15,8 @@ partial result stays below 2^62:
   product        nz * bound(x) * bound(y), nz the nonzero count of the
                  side that is looped over (see _conv)
   prod_ap        a running bound on every radix-2^32 limb over the
-                 binomial steps (see _expand_ap)
+                 binomial steps and the terms of Euler's series (see
+                 _expand_ap and _certified)
 A failed certificate never raises, and the result is stored as int64
 again if its values fit.  add, sub and scale run on the object dtype.
 A product runs on signed int64 limbs narrow enough that every limb-pair
@@ -241,22 +242,25 @@ def _conv(x: QSeries, y: QSeries, t: int, s: int, n: int) -> QSeries:
     int64; otherwise the loop runs on signed int64 limbs (_conv_limbs).
     When the denser side is also sparse next to the output length, the
     certified product runs as an outer product of the two nonzero lists
-    instead.
+    instead.  Both sides' nonzeros are counted, but only the lists a
+    path loops over are built.
     """
     top = t * n + s
     if x.trunc < top or y.trunc < top:
         raise ValueError(f"factors known to order {min(x.trunc, y.trunc)}, need {top}")
     a, b = x.array[: top + 1], y.array[: top + 1]
-    ja, jb = np.flatnonzero(a), np.flatnonzero(b)
+    # Python ints: a numpy count would wrap in the certificate's product.
+    na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
     bounds = x.bound, y.bound
-    if len(jb) < len(ja):
-        a, b, ja, jb, bounds = b, a, jb, ja, bounds[::-1]
-    if not len(ja):
+    if nb < na:
+        a, b, na, nb, bounds = b, a, nb, na, bounds[::-1]
+    if not na:
         return zero(n)
-    if len(ja) * x.bound * y.bound >= _INT64_SAFE:
+    ja = np.flatnonzero(a)
+    if na * x.bound * y.bound >= _INT64_SAFE:
         return QSeries(n, _conv_limbs(a, b, ja, *bounds, t, s, n))
-    if _OUTER_COST * len(jb) < n + 1:
-        return QSeries(n, _outer(a, b, ja, jb, t, s, n))
+    if _OUTER_COST * nb < n + 1:
+        return QSeries(n, _outer(a, b, ja, np.flatnonzero(b), t, s, n))
     out = np.zeros(n + 1, dtype=np.int64)
     _strided(out, a, b, ja, t, s)
     return QSeries(n, out)
@@ -379,9 +383,12 @@ def prod_ap(factors, trunc: int) -> QSeries:
 
     Each factor is a tuple (a, b, sign, e) with a >= 1, b >= 1 (an
     exponent of zero at j = 0 is rejected), sign in {+1, -1} and e a
-    nonzero integer; negative e divides instead of multiplying.  Factors
-    that name the same binomial 1 + sign*q^m are expanded there once, at
-    their summed exponent; where it is zero nothing is done.
+    nonzero integer; negative e divides instead of multiplying.  A
+    factor (a, b, +1, e > 0) whose binomials no factor divides by is
+    expanded by Euler's series, in about sqrt(2 * trunc / a) terms; the
+    others, where they name the same binomial 1 + sign*q^m, are expanded
+    there once, at their summed exponent, and where it is zero nothing
+    is done.
     """
     return QSeries(trunc, _expand_ap(factors, trunc))
 
@@ -389,33 +396,50 @@ def prod_ap(factors, trunc: int) -> QSeries:
 def prod_ap_bytes(factors, trunc: int) -> int:
     """A bound on the bytes prod_ap(factors, trunc) holds at once.
 
-    _expand_ap expands each binomial 1 + sign*q^m once, at its net
-    exponent.  Every array it forms is a partial product of these
-    merged powers, or, inside a division by 1 + sign*q^m, such a product
-    times (1 - sign*q^m)(1 + q^2m)(1 + q^4m)...  Put (1 + q^m)^e in place
-    of each factor term (1 + sign*q^m)^e with e > 0, and 1 / (1 - q^m)^-e
-    in place of one with e < 0, and call the product M.  At one binomial
-    let P and N be the sums of the positive and of the negated negative
-    exponents, so its net exponent is P - N and its terms in M give
-    (1 + x^m)^P / (1 - x^m)^N.  That series has nonnegative coefficients
-    and dominates both (1 + x^m)^(P - N) when P > N and 1 / (1 - x^m)^(N
-    - P) when N > P, since (1 + x)(1 + x^2)...(1 + x^(2^k)) is a
-    truncation of 1 / (1 - x).  So M bounds the absolute values of every
-    array's coefficients, and each coefficient up to trunc is at most
-    M(x) / x^trunc for 0 < x = e^-u < 1.  log M(x) is at most the sum
-    over factors (a, b, _, e) of e * (log(1 + x^b) + pi^2 / (12 a u)) for
-    e > 0, and of -e * (-log(1 - x^b) + pi^2 / (6 a u)) for e < 0: the
-    first term of the sum over j, plus an integral for the rest.
-    u = sqrt(C / trunc) balances the C / u part against trunc * u.  A
-    coefficient below 2^bits takes L limbs, the top one below 2^31.  Per
-    coefficient, the steps hold the limbs and one equal shift-add
-    temporary (16 L bytes), the (2, trunc + 1) int64 net-exponent table
-    (16 bytes) and at most one entry of a run of it as a list (a pointer
-    and an int below 2^63: at most 56 bytes).  Past one limb, the
-    rebuild, after the table is freed, holds the limbs, an int of 32 L
-    bits with its pointer (at most 40 + 8 L bytes) and one limb column
-    cast to ints (48 bytes): 16 L + 88 bytes, more than the steps hold,
-    so that is the count with or without a rebuild.
+    _expand_ap first applies some factors (1 + q^m over a progression)
+    by Euler's series, then expands each other binomial 1 + sign*q^m
+    once, at its net exponent.  Every array it forms is a partial
+    product of these merged powers times a product X of series factors;
+    or, inside a division by 1 + sign*q^m, such a product times (1 -
+    sign*q^m)(1 + q^2m)(1 + q^4m)...; or, inside the series of a factor
+    F, X times a partial sum of the series, or X times one term's
+    division 1 / ((1 - q^a)...(1 - q^ka)) or a prefix of its doubling
+    steps.  Put (1 + q^m)^e in place of each factor term (1 +
+    sign*q^m)^e with e > 0, and 1 / (1 - q^m)^-e in place of one with e
+    < 0, and call the product M.  At one binomial let P and N be the
+    sums of the positive and of the negated negative exponents, so its
+    net exponent is P - N and its terms in M give (1 + x^m)^P / (1 -
+    x^m)^N.  That series has nonnegative coefficients and dominates both
+    (1 + x^m)^(P - N) when P > N and 1 / (1 - x^m)^(N - P) when N > P,
+    since (1 + x)(1 + x^2)...(1 + x^(2^k)) is a truncation of 1 / (1 -
+    x).  Every term of Euler's series is nonnegative and their sum is
+    F, so X times a partial sum is at most X F, and term k's division
+    shifted by its exponent c_k is at most F; a series factor's
+    binomials have N = 0.  So coefficient i of every array is at most
+    coefficient i (or i + c_k) of M in absolute value, and each
+    coefficient up to trunc is at most M(x) / x^trunc for 0 < x = e^-u
+    < 1.  log M(x) is at most
+    the sum over factors (a, b, _, e) of e * (log(1 + x^b) + pi^2 / (12
+    a u)) for e > 0, and of -e * (-log(1 - x^b) + pi^2 / (6 a u)) for e
+    < 0: the first term of the sum over j, plus an integral for the
+    rest.  u = sqrt(C / trunc) balances the C / u part against trunc *
+    u.  A coefficient below 2^bits takes L limbs, the top one below
+    2^31.  Per coefficient:
+      series      co, the term's array v and a division's shift-add
+                  temporary, or in a carry or a widening the old and the
+                  new array beside the third: 24 L bytes.  The net
+                  table does not exist yet, and v is freed after each
+                  application.
+      binomials   the limbs and one equal shift-add temporary (16 L
+                  bytes), the (2, trunc + 1) int64 net-exponent table (16
+                  bytes) and at most one entry of a run of it as a list
+                  (a pointer and an int below 2^63: at most 56 bytes).
+      rebuild     past one limb, after the table is freed: the limbs, an
+                  int of 32 L bits with its pointer (at most 40 + 8 L
+                  bytes) and one limb column cast to ints (48 bytes).
+    So the count is 16 L + 88 bytes, or max(24 L, 16 L + 88) when some
+    factor (a, b, +1, e > 0) may take the series; 24 L is the larger only
+    past 11 limbs.
 
     The majorant cannot see the cancellation in a product of
     (1 - q^m) factors, so its bits grow as sqrt(trunc): E(2)^5 / (E(4)^2
@@ -435,42 +459,73 @@ def prod_ap_bytes(factors, trunc: int) -> int:
     )
     bits = ceil(log_max / log(2)) + 1
     limbs = 1 + max(0, -(-(bits - 30) // _LIMB_BITS))
-    return rows * (16 * limbs + 88)
+    per = 16 * limbs + 88
+    if any(sign == 1 and e > 0 for _a, _b, sign, e in factors):
+        per = max(per, 24 * limbs)
+    return rows * per
 
 
 def _expand_ap(factors, trunc: int) -> np.ndarray:
     """The coefficient array of prod_ap: int64, or Python ints past one limb.
 
-    Each distinct binomial 1 + sign*q^m is expanded once, at its net
-    exponent: the sum of the exponents the factors give it (see
-    _net_exponents).  The product runs on an int64 array of shape
-    (trunc + 1, L), row i holding the radix-2^_LIMB_BITS limbs of
-    coefficient i, and every step acts on all limbs at once.
+    The product runs on an int64 array co of shape (trunc + 1, L), row i
+    holding the radix-2^_LIMB_BITS limbs of coefficient i, and every
+    step acts on all limbs at once.  First each factor (a, b, +1, e > 0)
+    that _euler_factors selects is applied e times by Euler's series
+    (Andrews, The Theory of Partitions, Cor. 2.2): the product of 1 +
+    q^(a*j + b) over j >= 0 is the sum over k >= 0 of q^c_k / ((1 -
+    q^a)(1 - q^2a)...(1 - q^ka)), c_k = b*k + a*k*(k - 1)/2.  So with
+    v_0 = co and v_k = v_(k-1) / (1 - q^ka), term k adds q^c_k v_k into
+    co: about sqrt(2 * trunc / a) terms instead of one shift-add per
+    binomial.  v_k is needed only to trunc - c_k, so each division runs
+    on a shorter prefix of one array.  A carry may give co or v more
+    limbs than the other; the narrower is then widened with zero limbs,
+    so each add runs on whole rows (an add into a column slice would
+    take numpy's iteration buffers).  The other factors expand
+    each distinct binomial 1 + sign*q^m once, at its net exponent: the
+    sum of the exponents they give it (see _net_exponents).  Merging
+    saves work only where exponents cancel, and no such binomial takes
+    the series.
+
     Multiplying by 1 + sign*q^m adds a shifted copy, so it at most
     doubles the max-abs of any limb; dividing runs partial sums of at
-    most ceil((trunc + 1) / m) terms.  A running bound tracks this.
-    While there is one limb, a bound that would reach _INT64_SAFE is
-    first replaced by the exact max-abs of the array; past one limb the
-    low limbs double with every shift-add, so a scan would not certify
-    the step, and the bound goes straight to the carry.  _carry brings
-    every limb below 2^_LIMB_BITS, which certifies any step of an order
-    below _INT64_SAFE >> _LIMB_BITS.
+    most ceil(rows / m) terms, rows the length of the array divided; a
+    series term adds two arrays, each certified for a grow of 2.
+    Running bounds on co and v track this, and _certified keeps each
+    below _INT64_SAFE before every step.  The series runs inline, so an
+    array a carry or a widening replaces is freed at once (see
+    prod_ap_bytes).
     """
     if trunc + 1 > _INT64_SAFE >> _LIMB_BITS:
         raise ValueError(
             f"prod_ap order {trunc} needs steps that no carry can certify"
         )
+    series, rest = _euler_factors(factors, trunc)
     co = np.zeros((trunc + 1, 1), dtype=np.int64)
     co[0] = 1
     bound = 1
-    for m, sign, e in _net_exponents(factors, trunc):
+    for a, b, _sign, e in series:
+        for _ in range(e):
+            rows, k = trunc + 1 - b, 1
+            v, v_bound = co[: max(rows, 0)].copy(), bound
+            while rows > 0:
+                v = v[:rows]
+                grow = -(-rows // (k * a))
+                v, v_bound = _certified(v, v_bound, grow)
+                v_bound *= grow
+                _divide_binomial(v, k * a, -1)
+                v, v_bound = _certified(v, v_bound, 2)
+                co, bound = _certified(co, bound, 2)
+                co, v = _widen(co, v.shape[1]), _widen(v, co.shape[1])
+                co[trunc + 1 - rows :] += v
+                bound += v_bound
+                rows -= b + k * a
+                k += 1
+            del v  # else its base lives on through the steps below
+    for m, sign, e in _net_exponents(rest, trunc):
         grow = 2 if e > 0 else -(-(trunc + 1) // m)
         for _ in range(abs(e)):
-            if bound * grow >= _INT64_SAFE and co.shape[1] == 1:
-                bound = _max_abs(co)
-            if bound * grow >= _INT64_SAFE:
-                co = _carry(co)
-                bound = (1 << _LIMB_BITS) - 1
+            co, bound = _certified(co, bound, grow)
             bound *= grow
             if e < 0:
                 _divide_binomial(co, m, sign)
@@ -479,6 +534,54 @@ def _expand_ap(factors, trunc: int) -> np.ndarray:
             else:
                 co[m:] -= co[:-m]
     return _join(co, _LIMB_BITS)
+
+
+def _certified(co: np.ndarray, bound: int, grow: int):
+    """co and a bound on its limbs, the bound times grow below _INT64_SAFE.
+
+    While there is one limb, a bound that fails is first replaced by
+    the exact max-abs of the array; past one limb the low limbs double
+    with every shift-add, so a scan would not certify the step, and the
+    bound goes straight to the carry.  _carry brings every limb below
+    2^_LIMB_BITS, which certifies any grow up to the order cap of
+    _expand_ap, _INT64_SAFE >> _LIMB_BITS.
+    """
+    if bound * grow >= _INT64_SAFE and co.shape[1] == 1:
+        bound = _max_abs(co)
+    if bound * grow >= _INT64_SAFE:
+        co = _carry(co)
+        bound = (1 << _LIMB_BITS) - 1
+    return co, bound
+
+
+def _euler_factors(factors, trunc: int):
+    """(series, rest): the factors _expand_ap applies by Euler's series,
+    (a, b, +1, e > 0) with no binomial 1 + q^m, m <= trunc, that any
+    factor gives a negative exponent, and the others, each in order.
+    Every factor is checked first."""
+    for a, b, sign, e in factors:
+        if a < 1:
+            raise ValueError("factor step must be >= 1")
+        if b < 1:
+            raise ValueError(
+                "factor offset must be >= 1 (a j=0 factor with exponent 0 "
+                "is not a valid infinite-product term)"
+            )
+        if sign not in (1, -1):
+            raise ValueError("factor sign must be +1 or -1")
+        if e == 0:
+            raise ValueError("factor exponent must be nonzero")
+    divided = np.zeros(trunc + 1, dtype=bool)
+    for a, b, sign, e in factors:
+        if sign == 1 and e < 0:
+            divided[b::a] = True
+    eligible = [
+        sign == 1 and e > 0 and not divided[b::a].any()
+        for a, b, sign, e in factors
+    ]
+    series = [f for f, ok in zip(factors, eligible) if ok]
+    rest = [f for f, ok in zip(factors, eligible) if not ok]
+    return series, rest
 
 
 def _net_exponents(factors, trunc: int):
@@ -492,17 +595,6 @@ def _net_exponents(factors, trunc: int):
     """
     net = np.zeros((2, trunc + 1), dtype=np.int64)
     for a, b, sign, e in factors:
-        if a < 1:
-            raise ValueError("factor step must be >= 1")
-        if b < 1:
-            raise ValueError(
-                "factor offset must be >= 1 (a j=0 factor with exponent 0 "
-                "is not a valid infinite-product term)"
-            )
-        if sign not in (1, -1):
-            raise ValueError("factor sign must be +1 or -1")
-        if e == 0:
-            raise ValueError("factor exponent must be nonzero")
         net[(1 - sign) // 2, b::a] += e
     for a, b, sign, _e in factors:
         run = net[(1 - sign) // 2, b::a]
@@ -511,6 +603,14 @@ def _net_exponents(factors, trunc: int):
         for m, e in zip(range(b, trunc + 1, a), exponents):
             if e:
                 yield m, sign, e
+
+
+def _widen(co: np.ndarray, limbs: int) -> np.ndarray:
+    """co with zero limbs appended up to limbs columns."""
+    if co.shape[1] >= limbs:
+        return co
+    pad = np.zeros((len(co), limbs - co.shape[1]), dtype=np.int64)
+    return np.concatenate((co, pad), axis=1)
 
 
 def _carry(co: np.ndarray) -> np.ndarray:
@@ -527,7 +627,7 @@ def _carry(co: np.ndarray) -> np.ndarray:
         if k == co.shape[1] - 1:
             if _max_abs(co[:, k]) < 1 << (_LIMB_BITS - 1):
                 return co
-            co = np.concatenate((co, np.zeros((len(co), 1), np.int64)), axis=1)
+            co = _widen(co, k + 2)
         co[:, k + 1] += co[:, k] >> _LIMB_BITS
         co[:, k] &= mask
         k += 1

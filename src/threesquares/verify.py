@@ -7,8 +7,9 @@ Python ints, or None.  Each comparison report carries that witness as
 first_mismatch, and every report serialises through one rule, _json:
 its compared fields under camelCase keys, tuples as lists.  Timing is
 not compared, so it stays out of equality and of the JSON.  The
-lattice-count checks run over
-1 <= n <= N, as the paper states them.  verify_hs reads its s values
+recursion and theorem checks run over 1 <= n <= N, as the paper states
+them; Prop. 5.4 holds at n = 0 too, where both sides are 1 - p, and is
+checked from there.  verify_hs reads its s values
 from the int32 s table, widened to int64 before any arithmetic (the
 table's certificate bounds s(n), not p*s(n)); verify_theorems and
 verify_prop54 read s only at the points they check, as int64 from
@@ -261,9 +262,10 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
 
     The two parity-restricted statements hold for n = 1, 2 mod 4; their
     extensions subtract a second form's counts and hold for every n.
-    s(9n), s(25n) and s(n) come from s_multiples, before any theta.
+    s(n), s(9n) and s(25n) come from one s_multiples call, over one
+    r2 to 25 max_n, before any theta.
     """
-    s_n, s9, s25 = (s_multiples(k, max_n) for k in (1, 9, 25))
+    s_n, s9, s25 = s_multiples((1, 9, 25), max_n)
     g, h, g2, h2 = (
         evaluate(theta3(*form), max_n).array
         for form in (
@@ -307,12 +309,12 @@ class Prop54Report(_Report):
 
 def verify_prop54(p: int, max_n: int) -> Prop54Report:
     """s(p^2 n) - p s(n) as 48 and -96 times automorph-weighted counts
-    over the two distinguished genera, checked exactly for 1 <= n <= max_n.
+    over the two distinguished genera, checked exactly for 0 <= n <= max_n.
 
     s(p^2 n) and s(n) come first, from s_multiples, which builds r2 to
     p^2 max_n and no s table: a size it refuses fails before any genus
     work."""
-    s_q, s_n = s_multiples(p * p, max_n), s_multiples(1, max_n)
+    s_q, s_n = s_multiples((p * p, 1), max_n)
     genus1, genus2 = tg1(p), tg2(p)
     terms1 = tuple(
         (c, m.as_tuple()) for c, m in zip(genus1.weights48(), genus1.members)
@@ -326,7 +328,7 @@ def verify_prop54(p: int, max_n: int) -> Prop54Report:
         for c, form in terms:
             rhs += sign * c * evaluate(theta3(*form), max_n).array
     lhs = s_q - p * s_n
-    mismatch = _first_mismatch(lhs, rhs, _from_one(max_n))
+    mismatch = _first_mismatch(lhs, rhs)
     status = "pass" if mismatch is None else "fail"
     return Prop54Report(p, max_n, status, mismatch, terms1, terms2)
 

@@ -383,12 +383,13 @@ def test_reports_are_byte_identical_to_the_golden_output(capsys, argv, digest):
 def test_a_failing_prop54_prints_its_first_failing_n(monkeypatch, capsys):
     real = verify.s_multiples
 
-    def s_multiples(step, count):
+    def s_multiples(steps, count):
         # s(49 * 12), wherever a request reads it.
-        s = real(step, count)
-        if 49 * 12 % step == 0 and 49 * 12 // step <= count:
-            s[49 * 12 // step] += 1
-        return s
+        rows = real(steps, count)
+        for s, step in zip(rows, steps):
+            if 49 * 12 % step == 0 and 49 * 12 // step <= count:
+                s[49 * 12 // step] += 1
+        return rows
 
     monkeypatch.setattr(verify, "s_multiples", s_multiples)
     code, out, err = run_cli(

@@ -851,7 +851,7 @@ def test_cold_s_table_peaks_at_six_bytes_an_entry():
 @given(st.integers(0, 2000))
 def test_four_routes_to_s_agree(n_max):
     table = s_table(n_max)
-    multiples = s_multiples(1, n_max)
+    (multiples,) = s_multiples((1,), n_max)
     theta = theta_series_ternary(identity_form(), n_max)
     cube = qs.theta_f(1, 1, n_max).pow(3)
     for n in range(n_max + 1):
@@ -868,9 +868,22 @@ def test_four_routes_to_s_agree(n_max):
 @example(700, 7)
 @example(9, 300)
 def test_s_multiples_match_the_s_table(step, count):
-    s = s_multiples(step, count)
+    (s,) = s_multiples((step,), count)
     assert s.dtype == np.int64 and s.shape == (count + 1,)
     assert np.array_equal(s, s_table(step * count)[::step]), (step, count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=4), st.integers(0, 200))
+@example([1, 9, 25], 200)
+@example([49, 1], 0)
+def test_s_multiples_of_several_steps_match_the_per_step_calls(steps, count):
+    # One r2, built to the largest step * count, serves every step.
+    rows = s_multiples(steps, count)
+    assert rows.dtype == np.int64 and rows.shape == (len(steps), count + 1)
+    for row, step in zip(rows, steps):
+        (alone,) = s_multiples((step,), count)
+        assert np.array_equal(row, alone), (step, count)
 
 
 def test_s_multiples_refuse_past_the_certificate_before_any_array(monkeypatch):
@@ -879,7 +892,7 @@ def test_s_multiples_refuse_past_the_certificate_before_any_array(monkeypatch):
     try:
         for step, count in ((1, lattice._S_MAX + 1), (16384, 16384)):
             with pytest.raises(ValueError, match="uint16 r2"):
-                s_multiples(step, count)
+                s_multiples((step,), count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -894,7 +907,7 @@ def test_s_multiples_refuse_past_the_certificate_before_any_array(monkeypatch):
     # _S_MAX itself is let through to the r2 build.
     monkeypatch.setattr(lattice, "_r2_planes", reached)
     with pytest.raises(Reached):
-        s_multiples(lattice._S_MAX, 1)
+        s_multiples((lattice._S_MAX,), 1)
 
 
 @pytest.mark.parametrize("step, count", [(1, 1 << 20), (1024, 1024)])
@@ -904,7 +917,7 @@ def test_s_multiples_hold_r2_and_no_s_table(step, count):
     top = step * count
     tracemalloc.start()
     try:
-        s_multiples(step, count)
+        s_multiples((step,), count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -942,7 +955,7 @@ def test_gauss_route_to_s_at_multiples_of_p_squared(p, count):
     # s(m) = 12 H(4m) - 24 H(m) at m = p^2 n, n = 1..count, with no s table.
     h6 = hurwitz6_to(4 * 13**2 * 100)
     m = p * p * np.arange(1, count + 1)
-    s = s_multiples(p * p, count)
+    (s,) = s_multiples((p * p,), count)
     assert s[0] == 1
     assert np.array_equal(s[1:], 2 * h6[4 * m] - 4 * h6[m]), (p, count)
 

@@ -1,5 +1,7 @@
 """Series arithmetic: frozen oracle values and algebraic properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -530,8 +532,141 @@ def test_prod_ap_expands_each_binomial_at_its_net_exponent(monkeypatch):
     assert steps == [m for m in range(1, 1001, 2) for _ in range(2)]
 
 
+def ref_series_factors(factors, trunc):
+    """The factors (a, b, +1, e > 0) none of whose binomials 1 + q^m,
+    m <= trunc, a (c, d, +1, e < 0) factor also names, by sets of m."""
+    divided = {
+        m
+        for c, d, sign, e in factors
+        if sign == 1 and e < 0
+        for m in range(d, trunc + 1, c)
+    }
+    return [
+        (a, b, sign, e)
+        for a, b, sign, e in factors
+        if sign == 1 and e > 0 and not divided & set(range(b, trunc + 1, a))
+    ]
+
+
+def recording_series(monkeypatch):
+    """Record (a, b) once for every application of Euler's series."""
+    calls = []
+    split = qs._euler_factors
+
+    def recording(factors, trunc):
+        series, rest = split(factors, trunc)
+        calls.extend((a, b) for a, b, _sign, e in series for _ in range(e))
+        return series, rest
+
+    monkeypatch.setattr(qs, "_euler_factors", recording)
+    return calls
+
+
+def recording_steps(monkeypatch):
+    """Record every (m, sign, e) the binomial path steps."""
+    steps = []
+    net = qs._net_exponents
+
+    def recording(factors, trunc):
+        for step in net(factors, trunc):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(qs, "_net_exponents", recording)
+    return steps
+
+
+st_series_factor = st.tuples(
+    st.integers(1, 6), st.integers(1, 8), st.just(1), st.integers(1, 3)
+)
+st_other_factor = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 8), st.just(-1), st_exponent),
+    st.tuples(st.integers(1, 6), st.integers(1, 8), st.just(1), st.integers(-3, -1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.lists(st_series_factor, min_size=1, max_size=3),
+        st.lists(st_other_factor, max_size=3),
+    ).flatmap(lambda fs: st.permutations(fs[0] + fs[1])),
+    st.integers(0, 80),
+)
+@example([(2, 1, 1, 1), (1, 1, -1, -1), (4, 3, 1, -1)], 60)
+@example([(1, 1, 1, 2), (2, 2, 1, -1), (3, 1, 1, 1)], 60)
+def test_prod_ap_by_euler_series_matches_the_tuple_code(factors, trunc):
+    # The series factors mixed with 1 - q^m factors and with divisions
+    # by 1 + q^m: each factor no division meets takes the series, once
+    # per unit of its exponent, and the product is exact.
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recording_series(mp)
+        got = qs.prod_ap(factors, trunc)
+    assert got.coeffs == ref_prod_ap(factors, trunc)
+    want = ref_series_factors(factors, trunc)
+    assert calls == [(a, b) for a, b, _sign, e in want for _ in range(e)]
+
+
+def test_distinct_odd_parts_at_order_7005_take_83_series_terms(monkeypatch):
+    # (-q; q^2) to 7005: term k ends at k^2 <= 7005 and divides by
+    # 1 - q^2k, so 83 terms replace 3503 shift-adds, and no binomial is
+    # stepped on its own.
+    calls = recording_series(monkeypatch)
+    divisions = []
+    divide = qs._divide_binomial
+    monkeypatch.setattr(
+        qs,
+        "_divide_binomial",
+        lambda co, m, sign: divisions.append((m, sign)) or divide(co, m, sign),
+    )
+    steps = recording_steps(monkeypatch)
+    factors = [(2, 1, 1, 1)]
+    assert qs.prod_ap(factors, 7005).coeffs == ref_prod_ap(factors, 7005)
+    assert calls == [(2, 1)]
+    assert divisions == [(2 * k, -1) for k in range(1, 84)]
+    assert steps == []
+
+
+def test_a_binomial_another_factor_divides_by_stays_on_the_binomial_path(
+    monkeypatch,
+):
+    # (1 + q^m) for every m times 1 / (1 + q^m) at odd m: the odd
+    # binomials cancel, so the first factor expands at net exponents,
+    # and only the even binomials are stepped, once each.
+    calls = recording_series(monkeypatch)
+    steps = recording_steps(monkeypatch)
+    factors = [(1, 1, 1, 1), (2, 1, 1, -1)]
+    assert qs.prod_ap(factors, 200).coeffs == ref_prod_ap(factors, 200)
+    assert calls == []
+    assert steps == [(m, 1, 1) for m in range(2, 201, 2)]
+
+
+def test_prod_ap_peak_is_within_prod_ap_bytes():
+    # Every prodap leaf of the catalog at the order verify --all plans
+    # for it at 1000, (-q; q^2) at 7005 among them; and (-q; q)^20 at
+    # 2000, whose 16 limbs put the series' three arrays above the
+    # rebuild's count.
+    from threesquares.catalog import catalog, plan
+
+    exprs = [x for spec in catalog() for x in (spec.lhs, spec.rhs)]
+    nodes = plan(exprs, 1000).items()
+    leaves = [(node[1], at) for node, at in nodes if node[0] == "prodap"]
+    assert len(leaves) == 11 and (((2, 1, 1, 1),), 7005) in leaves
+    for factors, order in leaves + [(((1, 1, 1, 20),), 2000)]:
+        tracemalloc.start()
+        try:
+            qs.prod_ap(list(factors), order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= qs.prod_ap_bytes(factors, order), (factors, order, peak)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st_factors, st.integers(2, 8), st.integers(0, 1 << 14))
+# Euler's series on narrow limbs: the division by 1 - q sums 40 terms.
+@example([(1, 1, 1, 3), (2, 1, -1, -1)], 2, 0)
+@example([(1, 1, 1, 2), (3, 2, 1, 1), (2, 2, -1, -2)], 3, 7)
 def test_prod_ap_exact_whatever_the_limit(factors, bits, spare):
     # Limbs of 2 to 8 bits in a window barely wide enough to certify an
     # order-40 step after a carry: carries, added limbs and negative top

@@ -232,12 +232,13 @@ def bump_s(monkeypatch, bumps):
             table[i] += delta
         return table
 
-    def s_multiples(step, count):
-        s = real_multiples(step, count)
-        for i, delta in bumps.items():
-            if i % step == 0 and i // step <= count:
-                s[i // step] += delta
-        return s
+    def s_multiples(steps, count):
+        rows = real_multiples(steps, count)
+        for s, step in zip(rows, steps):
+            for i, delta in bumps.items():
+                if i % step == 0 and i // step <= count:
+                    s[i // step] += delta
+        return rows
 
     monkeypatch.setattr(verify, "s_table", s_table)
     monkeypatch.setattr(verify, "s_multiples", s_multiples)
@@ -380,9 +381,11 @@ def test_prop54_reports_the_first_perturbed_n(monkeypatch):
         ({}, {(f2, 9): 1, (f1, 40): 1}, (9, c2)),
         # c1 * c2 - c2 * c1 = 0: the printed weights cancel exactly.
         ({}, {(f1, 20): c2, (f2, 20): c1}, None),
-        ({0: 1}, {}, None),
-        ({}, {(f1, 0): 1}, None),
-        ({}, {(f2, 0): 1}, None),
+        # n = 0 is checked too, where both sides are 1 - 7: s(0) alone
+        # broken moves the left side to 2 * (1 - 7).
+        ({0: 1}, {}, (0, -6)),
+        ({}, {(f1, 0): 1}, (0, -c1)),
+        ({}, {(f2, 0): 1}, (0, c2)),
     ]
     for s_bumps, theta_bumps, fail in cases:
         with monkeypatch.context() as m:
