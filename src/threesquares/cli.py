@@ -4,7 +4,9 @@ Subcommands: verify (identity catalog), count (single representation
 count), s (sums of three squares), genus (genus reports), prop54 (the
 weighted two-genus identity).  Exit codes: 0 all checks passed, 1 a
 verification failed or a construction could not be completed, 2 usage
-error, out of memory, or a report that cannot be written.  Output is
+error, out of memory, or a report that cannot be written.  genus --p
+exits 1 when a pair of the bijection tg2 built fails its check, never
+for too shallow a --max-n; stderr names the pair and its witness.  Output is
 deterministic: JSON lines are sorted-key and timing is confined to the
 human-readable table.
 """
@@ -275,18 +277,21 @@ def _cmd_genus(args) -> int:
                 ],
             }
             _emit([doc], "json", args.output, [])
-            return 0 if pairing.status == "ok" else 1
-        rows = _genus_rows(genus1, f"TG1,{args.p}") + _genus_rows(
-            genus2, f"TG2,{args.p}"
-        )
-        trailer = f"pullback bijection: {pairing.status}\n" + "".join(
-            f"  {a} -> {b}\n" for a, b in pairing.mapping
-        )
-        _emit(
-            rows, args.format, args.output, ["genus", "form", "aut", "weight48"],
-            trailer,
-        )
-        return 0 if pairing.status == "ok" else 1
+        else:
+            rows = _genus_rows(genus1, f"TG1,{args.p}") + _genus_rows(
+                genus2, f"TG2,{args.p}"
+            )
+            trailer = f"pullback bijection: {pairing.status}\n" + "".join(
+                f"  {a} -> {b}\n" for a, b in pairing.mapping
+            )
+            _emit(
+                rows, args.format, args.output,
+                ["genus", "form", "aut", "weight48"], trailer,
+            )
+        if pairing.status != "ok":
+            print(f"error: pullback bijection: {pairing.detail}", file=sys.stderr)
+            return 1
+        return 0
     _require_scan("--disc", args.disc, args.disc)
     genera = genus_partition(args.disc)
     if args.format == "json":

@@ -15,11 +15,12 @@ valuation and unit residue from a (numerator, denominator) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
 from .lattice import TernaryForm, theta_series_ternary
+from .qseries import _first_mismatch
 from .forms import (
     apply_transform,
     automorph_count,
@@ -265,6 +266,8 @@ class Genus:
     discriminant: int
     members: tuple[TernaryForm, ...]
     aut_counts: tuple[int, ...]
+    # tg2's record of the tg1 member each member was built from.
+    sources: tuple[TernaryForm, ...] = field(default=(), compare=False)
 
     def weights48(self) -> tuple[int, ...]:
         """48 / |Aut| per member; ArithmeticError if a count does not divide 48."""
@@ -365,18 +368,20 @@ def overlattice(form: TernaryForm) -> TernaryForm:
 def tg2(p: int) -> Genus:
     """The distinguished genus of discriminant 16 p^2: the overlattices of tg1(p).
 
-    Automorph counts are computed afresh, so the mass check is a real one;
-    RuntimeError when two members coincide or one has another discriminant.
+    Each member's source in tg1(p) is recorded in sources.  Automorph counts
+    are computed afresh, so the mass check is a real one; RuntimeError
+    when two members coincide or one has another discriminant.
     """
     disc = 16 * p * p
-    members = sorted(map(overlattice, tg1(p).members), key=TernaryForm.as_tuple)
+    pairs = [(overlattice(m), m) for m in tg1(p).members]
+    members, sources = zip(*sorted(pairs, key=lambda pair: pair[0].as_tuple()))
     if len(set(members)) != len(members) or any(m.disc() != disc for m in members):
         raise RuntimeError(
             f"the overlattices of tg1({p}) are not distinct classes of "
             f"discriminant {disc}: {[m.as_tuple() for m in members]}"
         )
-    genus = Genus(disc, tuple(members), tuple(automorph_count(m) for m in members))
-    return _require_eichler_mass(genus, "tg2", p)
+    auts = tuple(automorph_count(m) for m in members)
+    return _require_eichler_mass(Genus(disc, members, auts, sources), "tg2", p)
 
 
 # -- the pullback bijection -------------------------------------------------
@@ -384,37 +389,34 @@ def tg2(p: int) -> Genus:
 
 @dataclass(frozen=True)
 class HResult:
-    status: str  # "ok" | "none" | "ambiguous"
+    """A checked pairing: "ok" with its (f, g) pairs, or "fail" with no
+    pairs and, in detail, the failing pair and what differs."""
+
+    status: str  # "ok" | "fail"
     mapping: tuple[tuple[TernaryForm, TernaryForm], ...]
     detail: str = ""
 
 
 def find_h_between(src: Genus, dst: Genus, max_n: int) -> HResult:
-    """Bijection H: src -> dst with equal automorph counts and
-    member(4n) = H(member)(n) for all n <= max_n, if one exists uniquely."""
-    if len(src.members) != len(dst.members):
-        return HResult("none", (), "genus cardinalities differ")
-    dst_keys = [
-        (aut, theta_series_ternary(g, max_n))
-        for g, aut in zip(dst.members, dst.aut_counts)
-    ]
-    # Partners have equal keys (automorph count, series), so each row is
-    # a whole key group and the group sizes decide existence and uniqueness.
-    rows = []
-    for f, aut in zip(src.members, src.aut_counts):
-        pulled = theta_series_ternary(f, 4 * max_n).sift(4, 0).truncate(max_n)
-        row = tuple(j for j, key in enumerate(dst_keys) if key == (aut, pulled))
-        if not row:
-            return HResult("none", (), f"no partner for {f}")
-        rows.append(row)
-    if any(rows.count(row) != len(row) for row in rows):
-        return HResult("none", (), "no complete matching")
-    if any(len(row) > 1 for row in rows):
-        return HResult("ambiguous", (), "more than one matching")
-    pairing = zip(src.members, (dst.members[row[0]] for row in rows))
-    return HResult("ok", tuple(pairing))
+    """Check the pairing src records (Genus.sources), each member f to its
+    source g in dst: a bijection with equal automorph counts and
+    r_f(4n) = r_g(n) for n <= max_n, as overlattice proves for tg2.  A
+    failure names the pair and its witness (n, r_f(4n), r_g(n)).
+    """
+    if len(src.sources) != len(dst.members) or set(src.sources) != set(dst.members):
+        return HResult("fail", (), "the recorded sources are not dst's members")
+    auts = dict(zip(dst.members, dst.aut_counts))
+    for f, aut, g in zip(src.members, src.aut_counts, src.sources):
+        if aut != auts[g]:
+            return HResult("fail", (), f"{f} -> {g}: automorphs {aut} != {auts[g]}")
+        pulled = theta_series_ternary(f, 4 * max_n).sift(4, 0).array
+        witness = _first_mismatch(pulled, theta_series_ternary(g, max_n).array)
+        if witness is not None:
+            why = f"r(4n) != r(n) at (n, lhs, rhs) = {witness}"
+            return HResult("fail", (), f"{f} -> {g}: {why}")
+    return HResult("ok", tuple(zip(src.members, src.sources)))
 
 
 def find_h(p: int, max_n: int = 500) -> HResult:
-    """The automorph-preserving pullback bijection tg2(p) -> tg1(p)."""
+    """The automorph-preserving pullback bijection tg2(p) -> tg1(p), checked."""
     return find_h_between(tg2(p), tg1(p), max_n)

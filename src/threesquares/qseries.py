@@ -228,6 +228,19 @@ class QSeries:
         return QSeries(int(data["trunc"]), tuple(int(c) for c in data["coeffs"]))
 
 
+def _first_mismatch(lhs, rhs, keep=None) -> tuple | None:
+    """(n, lhs[n], rhs[n]) at the least n (with keep[n], if given) where
+    the coefficient arrays lhs and rhs differ, in Python ints, or None."""
+    differ = np.asarray(lhs != rhs, dtype=bool)
+    if keep is not None:
+        differ &= keep
+    bad = np.flatnonzero(differ)
+    if not len(bad):
+        return None
+    n = int(bad[0])
+    return n, int(lhs[n]), int(rhs[n])
+
+
 # -- the convolution kernel ---------------------------------------------------
 
 

@@ -1,30 +1,31 @@
 """Verification engines: catalog runs, coefficient theorems, genus checks.
 
 Every check builds its two sides as exact integer arrays indexed by the
-exponent n and hands them to one comparison, _first_mismatch, which
-returns the witness (n, lhs[n], rhs[n]) at the least failing n, in
-Python ints, or None.  Each comparison report carries that witness as
-first_mismatch, and every report serialises through one rule, _json:
+exponent n and hands them to one comparison, qseries._first_mismatch,
+which returns the witness (n, lhs[n], rhs[n]) at the least failing n,
+in Python ints, or None.  Each comparison report carries that witness
+as first_mismatch, and every report serialises through one rule, _json:
 its compared fields under camelCase keys, tuples as lists.  Timing is
 not compared, so it stays out of equality and of the JSON.  The
-recursion and theorem checks run over 1 <= n <= N, as the paper states
-them; Prop. 5.4 holds at n = 0 too, where both sides are 1 - p, and is
-checked from there.  verify_hs reads its s values
-from the int32 s table, widened to int64 before any arithmetic (the
-table's certificate bounds s(n), not p*s(n)); verify_theorems and
-verify_prop54 read s only at the points they check, as int64 from
-lattice.s_multiples.  The weighted two-genus identity
-takes its coefficients from Genus.weights48, so the terms a report
-prints are the terms that were checked.  The q-series route (sifted
-series built from theta sums and products) and the lattice route
-(counts from direct enumeration) are kept separate so each confirms
-the other.
+recursion, the theorems and Prop. 5.4 are checked from n = 0, where
+both sides agree: s(0) = (p + 1) s(0) - p s(0), 1 - 3 = 2 - 4 in T5.2,
+1 - 5 = 4 - 8 in T5.3 and 1 - p = 1 - p; T1.1 and T1.2 hold, and are
+checked, only at n = 1, 2 mod 4.  verify_hs reads its s values from the
+int32 s table, widened to int64 before any arithmetic (the table's
+certificate bounds s(n), not p*s(n)); verify_theorems and verify_prop54
+read s only at the points they check, as int64 from
+lattice.s_multiples.  The weighted two-genus identity takes its
+coefficients from Genus.weights48, so the terms a report prints are the
+terms that were checked.  The q-series route (sifted series built from
+theta sums and products) and the lattice route (counts from direct
+enumeration) are kept separate so each confirms the other.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import product
 
 import numpy as np
 
@@ -44,14 +45,13 @@ from .catalog import (
     theta3,
 )
 from .forms import legendre
-from .genera import HResult, find_h, require_odd_prime, tg1, tg2
+from .genera import find_h, require_odd_prime, tg1, tg2
 from .lattice import (
     point_array_bytes,
     s_multiples,
     s_table,
-    theta_series_ternary,
 )
-from .qseries import prod_ap_bytes
+from .qseries import _first_mismatch, prod_ap_bytes
 
 
 def _json(value):
@@ -81,24 +81,6 @@ class VerificationReport(_Report):
     status: str  # "pass" | "fail"
     first_mismatch: tuple | None  # (exponent, lhs, rhs)
     elapsed: float = field(compare=False)
-
-
-def _first_mismatch(lhs, rhs, keep=None) -> tuple | None:
-    """(n, lhs[n], rhs[n]) at the least n (with keep[n], if given) where
-    lhs and rhs differ, or None."""
-    differ = np.asarray(lhs != rhs, dtype=bool)
-    if keep is not None:
-        differ &= keep
-    bad = np.flatnonzero(differ)
-    if not len(bad):
-        return None
-    n = int(bad[0])
-    return n, int(lhs[n]), int(rhs[n])
-
-
-def _from_one(max_n: int) -> np.ndarray:
-    """The mask of n = 1..max_n over the indices 0..max_n."""
-    return np.arange(max_n + 1) > 0
 
 
 def _minus_chi(p: int, max_n: int) -> np.ndarray:
@@ -233,7 +215,7 @@ def verify_hs(p: int, max_n: int, chain_order: int = 500) -> HSReport:
     s_n = s[: max_n + 1].astype(np.int64)
     rhs = (p + 1 - _minus_chi(p, max_n)) * s_n
     rhs[::q] -= p * s_n[: max_n // q + 1]
-    mismatch = _first_mismatch(s[::q], rhs, _from_one(max_n))
+    mismatch = _first_mismatch(s[::q], rhs)
     chain_reports: tuple[VerificationReport, ...] = ()
     chain_used = None
     if p in _CHAIN_IDS and mismatch is None:
@@ -279,12 +261,11 @@ def verify_theorems(max_n: int) -> list[TheoremReport]:
     d25 = s25 - 5 * s_n
     residue = np.arange(max_n + 1) % 4
     parity = (residue == 1) | (residue == 2)
-    from_one = _from_one(max_n)
     checks = [
         ("T1.1", _first_mismatch(d25, 4 * h, parity)),
         ("T1.2", _first_mismatch(d9, 2 * g, parity)),
-        ("T5.2", _first_mismatch(d9, 2 * g - 4 * g2, from_one)),
-        ("T5.3", _first_mismatch(d25, 4 * h - 8 * h2, from_one)),
+        ("T5.2", _first_mismatch(d9, 2 * g - 4 * g2)),
+        ("T5.3", _first_mismatch(d25, 4 * h - 8 * h2)),
     ]
     return [
         TheoremReport(
@@ -350,22 +331,20 @@ class SignatureReport(_Report):
 def verify_signature(p: int, max_n: int) -> SignatureReport:
     """The pullback bijection and mod-4 vanishing of the second genus.
 
-    find_h pairs f with g only if f(4n) == g(n) for every n <= max_n.
+    find_h checks f(4n) == g(n) for n <= max_n on the pairing tg2 built.
+    As Q(x + 4y) = Q(x) mod 4, no value of a member is 1 or 2 mod 4 if
+    none is on the 64 points of (Z/4)^3: the vanishing holds for every n.
     """
-    result: HResult = find_h(p, max_n)
+    result = find_h(p, max_n)
     pullback_ok = result.status == "ok"
-    thetas = [theta_series_ternary(f, max_n).array for f, _g in result.mapping]
-    vanishing_ok = pullback_ok and not any(
-        t[1::4].any() or t[2::4].any() for t in thetas
+    vanishing_ok = pullback_ok and all(
+        f.value(*x) % 4 in (0, 3)
+        for f, _g in result.mapping for x in product(range(4), repeat=3)
     )
     return SignatureReport(
-        p,
-        max_n,
-        "pass" if vanishing_ok else "fail",
-        result.status,
+        p, max_n, "pass" if vanishing_ok else "fail", result.status,
         tuple((f.as_tuple(), g.as_tuple()) for f, g in result.mapping),
-        pullback_ok,
-        vanishing_ok,
+        pullback_ok, vanishing_ok,
     )
 
 

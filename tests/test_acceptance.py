@@ -28,7 +28,7 @@ from threesquares.forms import (
     enumerate_classes,
     reduce_form,
 )
-from threesquares.genera import find_h, find_h_between, genus_partition, tg1, tg2
+from threesquares.genera import find_h, genus_partition, tg1, tg2
 from threesquares.lattice import TernaryForm, theta_series_ternary
 from threesquares.verify import (
     run_catalog,
@@ -40,6 +40,7 @@ from threesquares.verify import (
     verify_theorems,
 )
 
+from pairing_search import search_h
 from test_forms import equivalent_forms, random_unimodular
 from test_qseries import theta_f_product
 
@@ -145,7 +146,7 @@ def test_criterion_5_twelve_genera_unique_qualifier():
             )
             for m in g.members
         )
-        if thetas_ok and find_h_between(g, target, 200).status == "ok":
+        if thetas_ok and search_h(g, target, 200).status == "ok":
             qualifying.append(g)
     assert len(qualifying) == 1
     assert qualifying[0] == tg2(17)
@@ -206,8 +207,12 @@ def test_criterion_6_weighted_identity_to_1000():
 
 def test_criterion_7_unique_bijection_and_signature():
     for p in (17, 23):
+        # The pairing tg2 built passes its check, and a search over every
+        # pairing finds it alone.
         result = find_h(p, 500)
         assert result.status == "ok", p
+        search = search_h(tg2(p), tg1(p), 500)
+        assert (search.status, search.mapping) == ("ok", result.mapping), p
         report = verify_signature(p, 500)
         assert report.status == "pass"
         assert report.pullback_ok and report.vanishing_ok

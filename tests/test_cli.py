@@ -212,17 +212,69 @@ def test_genus_exit_code_follows_pairing_status(monkeypatch, capsys):
     from threesquares import cli
     from threesquares.genera import HResult
 
-    failed = HResult("none", (), "x")
+    failed = HResult("fail", (), "x")
     monkeypatch.setattr(cli, "find_h_between", lambda src, dst, max_n: failed)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["genus", "--p", "23", "--max-n", "60", "--format", "json"], capsys
     )
-    assert code == 1
+    assert (code, err) == (1, "error: pullback bijection: x\n")
     doc = json.loads(out)
-    assert doc["hStatus"] == "none" and doc["h"] == []
-    code, out, _ = run_cli(["genus", "--p", "23", "--max-n", "60"], capsys)
+    assert doc["hStatus"] == "fail" and doc["h"] == []
+    code, out, err = run_cli(["genus", "--p", "23", "--max-n", "60"], capsys)
+    assert (code, err) == (1, "error: pullback bijection: x\n")
+    assert out.endswith("pullback bijection: fail\n")
+
+
+@pytest.mark.parametrize("p, max_n", [(29, 1), (509, 100)])
+def test_genus_at_a_depth_too_shallow_to_tell_classes_apart(capsys, p, max_n):
+    # The pairing is the one tg2 built, checked, not searched for: a depth
+    # at which two classes share automorphs and theta prefix passes.
+    from threesquares.genera import overlattice, tg1
+
+    code, out, err = run_cli(
+        ["genus", "--p", str(p), "--max-n", str(max_n), "--format", "json"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["hStatus"] == "ok"
+    built = {overlattice(m).as_tuple(): m.as_tuple() for m in tg1(p).members}
+    assert {tuple(f): tuple(g) for f, g in doc["h"]} == built
+
+
+def test_genus_names_the_pair_a_swap_breaks(monkeypatch, capsys):
+    # tg2(29) has two members with four automorphs each; with their
+    # sources swapped the first of them fails at the least n where
+    # r_f(4n) and r_g(n) differ, counted here point by point.
+    from dataclasses import replace
+
+    from threesquares import genera
+
+    real = genera.tg2(29)
+    i, j = [k for k, aut in enumerate(real.aut_counts) if aut == 4]
+    sources = list(real.sources)
+    sources[i], sources[j] = sources[j], sources[i]
+    monkeypatch.setattr(
+        cli, "tg2", lambda p: replace(real, sources=tuple(sources))
+    )
+    f, g = real.members[i], sources[i]
+    witness = next(
+        (n, rep_count_ternary(f, 4 * n), rep_count_ternary(g, n))
+        for n in range(61)
+        if rep_count_ternary(f, 4 * n) != rep_count_ternary(g, n)
+    )
+    code, out, err = run_cli(
+        ["genus", "--p", "29", "--max-n", "60", "--format", "json"], capsys
+    )
     assert code == 1
-    assert "pullback bijection: none" in out
+    assert err == (
+        f"error: pullback bijection: {f} -> {g}: r(4n) != r(n) at "
+        f"(n, lhs, rhs) = {witness}\n"
+    )
+    assert json.loads(out)["hStatus"] == "fail"
+    # Below the first difference the swap passes: the check runs to --max-n.
+    below = ["genus", "--p", "29", "--max-n", str(witness[0] - 1)]
+    assert run_cli(below, capsys)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Genus partitioning, the two distinguished genera, and the bijection."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +12,7 @@ from threesquares.lattice import TernaryForm, theta_series_ternary
 from threesquares.forms import enumerate_classes, reduce_form
 from threesquares.genera import (
     Genus,
+    HResult,
     find_h,
     find_h_between,
     genus_partition,
@@ -21,6 +22,8 @@ from threesquares.genera import (
     tg1,
     tg2,
 )
+
+from pairing_search import Search, search_h
 
 TG1_23 = [(1, 6, 23, 0, 0, 1), (2, 3, 23, 0, 0, 1), (3, 8, 8, -7, 2, 2)]
 TG2_23 = [(4, 23, 24, 0, 4, 0), (8, 23, 12, 0, 4, 0), (3, 31, 31, -30, 2, 2)]
@@ -126,7 +129,7 @@ def ref_tg2(p):
     matches = []
     for genus in genus_partition(16 * p * p):
         if all(ref_vanishes_mod4(m) for m in genus.members):
-            if find_h_between(genus, tg1(p), 500).status == "ok":
+            if search_h(genus, tg1(p), 500).status == "ok":
                 matches.append(genus)
     if len(matches) != 1:
         raise RuntimeError(f"{len(matches)} genera of discriminant 16*{p}^2 qualify")
@@ -403,7 +406,7 @@ def test_matching_search_stops_at_the_second_match():
     # of their one key group already decides that the pairing is ambiguous.
     i3 = TernaryForm(1, 1, 1, 0, 0, 0)
     g = Genus(4, (i3,) * 8, (48,) * 8)
-    result = find_h_between(g, g, 20)
+    result = search_h(g, g, 20)
     assert result.status == "ambiguous"
     assert "40320" not in result.detail
 
@@ -414,8 +417,50 @@ def test_two_members_with_one_partner_have_no_complete_matching():
     i3, other = TernaryForm(1, 1, 1, 0, 0, 0), TernaryForm(1, 1, 4, 0, 0, 0)
     src = Genus(4, (i3, i3), (48, 48))
     dst = Genus(4, (i3, other), (48, 16))
-    assert find_h_between(src, dst, 20) == genera.HResult(
-        "none", (), "no complete matching"
+    assert search_h(src, dst, 20) == Search("none", (), "no complete matching")
+
+
+# -- the recorded pairing: tg2 builds it, find_h_between checks it -----------
+
+
+def test_tg2_records_the_overlattice_of_each_source():
+    for p in (*ODD_PRIMES_TO_47, 73):
+        genus1, genus2 = tg1(p), tg2(p)
+        key = TernaryForm.as_tuple
+        assert sorted(genus2.sources, key=key) == sorted(genus1.members, key=key)
+        assert all(overlattice(g) == f for f, g in zip(genus2.members, genus2.sources))
+        # The sources are no part of the genus's value or of its JSON.
+        assert genus2 == replace(genus2, sources=())
+        assert "sources" not in genus2.to_json_dict()
+
+
+@pytest.mark.parametrize("p, max_n", [(29, 1), (29, 0), (41, 10), (97, 20)])
+def test_a_shallow_depth_checks_the_built_pairing(p, max_n):
+    # Depths at which the search cannot tell the classes apart: the
+    # pairing tg2 built still passes its check, and it is the only pairing
+    # the search finds once it can tell them apart.
+    assert search_h(tg2(p), tg1(p), max_n).status == "ambiguous"
+    result = find_h(p, max_n)
+    assert result == HResult("ok", tuple(zip(tg2(p).members, tg2(p).sources)))
+    assert result.mapping == search_h(tg2(p), tg1(p), 200).mapping
+
+
+def test_a_pairing_that_is_not_a_bijection_onto_dst_fails():
+    genus1, genus2 = tg1(23), tg2(23)
+    s0, s1, s2 = genus2.sources
+    # A genus of genus_partition records nothing; then a short list, a
+    # repeated source and a source from another genus.
+    for sources in ((), (s0, s1), (s0, s0, s2), (s0, s1, tg1(17).members[0])):
+        broken = replace(genus2, sources=sources)
+        assert find_h_between(broken, genus1, 20) == HResult(
+            "fail", (), "the recorded sources are not dst's members"
+        )
+    # Sources with another automorph count fail before any theta.
+    moved = replace(genus2, aut_counts=(1,) + genus2.aut_counts[1:])
+    f, g = genus2.members[0], genus2.sources[0]
+    aut = dict(zip(genus1.members, genus1.aut_counts))[g]
+    assert find_h_between(moved, genus1, 20) == HResult(
+        "fail", (), f"{f} -> {g}: automorphs 1 != {aut}"
     )
 
 

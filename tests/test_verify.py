@@ -117,6 +117,33 @@ def test_signature_small():
     assert report.pullback_ok and report.vanishing_ok
 
 
+def test_vanishing_is_read_from_residues_mod_4(monkeypatch):
+    # Each class of 4624 in place of tg2(17)'s first member: the residue
+    # proof agrees with the theta series to past every value Q takes on
+    # {0..3}^3, and a class that takes 1 or 2 mod 4 fails the report.
+    from itertools import product
+
+    from threesquares.genera import HResult, find_h, genus_partition
+    from threesquares.lattice import theta_series_ternary
+
+    real = find_h(17, 20)
+    failing = 0
+    for genus in genus_partition(4624):
+        for form in genus.members:
+            swapped = ((form, real.mapping[0][1]),) + real.mapping[1:]
+            monkeypatch.setattr(
+                verify, "find_h", lambda p, max_n: HResult("ok", swapped)
+            )
+            report = verify_signature(17, 20)
+            top = max(form.value(*x) for x in product(range(4), repeat=3))
+            theta = theta_series_ternary(form, top).array
+            vanishes = not (theta[1::4].any() or theta[2::4].any())
+            assert report.pullback_ok and report.vanishing_ok == vanishes, form
+            assert report.status == ("pass" if vanishes else "fail")
+            failing += not vanishes
+    assert failing > 0
+
+
 def test_jagy_small():
     report = verify_jagy(13, 400)
     assert report.status == "pass"
@@ -153,7 +180,7 @@ def test_sifting_chain_routes_agree():
 
 def test_pullback_bijection_seedless_prime():
     # 73 is the first prime outside the three congruence families that
-    # once seeded tg2; the overlattices of tg1(73) still pair off uniquely.
+    # once seeded tg2; the pairing its overlattices record passes its check.
     from threesquares.genera import find_h, tg1, tg2
 
     genus = tg2(73)
@@ -269,6 +296,8 @@ def bump_theta(monkeypatch, bumps):
         # s(2) and s(18) moved together keep n = 2 true; n = 18 then
         # breaks through both (p + 1) s(18) and the p s(18 / 9) term.
         (3, {2: 1, 18: 3}, 18),
+        # n = 0 is checked, and s(0) moves both of its sides alike:
+        # s(0) = (p + 1) s(0) - p s(0).
         (3, {0: 1}, None),
         (7, {0: 5}, None),
     ],
@@ -290,6 +319,23 @@ def test_hs_reports_the_first_perturbed_n(monkeypatch, p, bumps, first_fail):
     # the right through c s(5), c = 8 - (-5|7) = 7; at n = 18 through
     # 4 s(18) - 3 s(2), moved by 4 * 3 - 3 * 1.
     assert lhs - rhs == {10: 1, 5: -7, 18: -9}[n]
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_hs_checks_n_0(monkeypatch, p):
+    # A character of 1 at n = 0 alone gives the right side p s(0) - p s(0)
+    # = 0 there, against s(0) = 1 on the left; every n > 0 still holds.
+    real = verify._minus_chi
+
+    def moved(p, max_n):
+        chi = real(p, max_n).copy()
+        chi[0] = 1
+        return chi
+
+    monkeypatch.setattr(verify, "_minus_chi", moved)
+    report = verify_hs(p, 100, chain_order=60)
+    assert (report.status, report.first_mismatch) == ("fail", (0, 1, 0))
+    assert report.chain_reports == () and report.chain_order is None
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -339,9 +385,12 @@ def test_moving_one_branch_coefficient_fails_that_branch_alone(
         ({}, {(G2, 3): 1}, {"T5.2": (3, 4)}),
         ({}, {(H2, 7): 1}, {"T5.3": (7, 8)}),
         ({}, {(G2, 12): 1, (H2, 4): 1}, {"T5.2": (12, 4), "T5.3": (4, 8)}),
-        # n = 0 is never checked: at n = 0 T1.1 reads 1 - 5 != 4.
-        ({0: 1}, {}, {}),
-        ({}, {(G, 0): 1, (H, 0): 2, (G2, 0): 3, (H2, 0): 1}, {}),
+        # n = 0 is checked by T5.2 and T5.3, where 1 - 3 = 2 - 4 and
+        # 1 - 5 = 4 - 8, and not by T1.1 and T1.2 (0 is 0 mod 4).
+        # s(0) = 2 moves the left sides to 2 - 6 and 2 - 10.
+        ({0: 1}, {}, {"T5.2": (0, -2), "T5.3": (0, -4)}),
+        # 2 * 2 - 4 * 4 = -12 against -2; 4 * 3 - 8 * 2 = -4 still holds.
+        ({}, {(G, 0): 1, (H, 0): 2, (G2, 0): 3, (H2, 0): 1}, {"T5.2": (0, 10)}),
     ],
 )
 def test_theorems_report_the_first_perturbed_n(
