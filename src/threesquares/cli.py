@@ -6,9 +6,10 @@ weighted two-genus identity).  Exit codes: 0 all checks passed, 1 a
 verification failed or a construction could not be completed, 2 usage
 error, out of memory, or a report that cannot be written.  genus --p
 exits 1 when a pair of the bijection tg2 built fails its check, never
-for too shallow a --max-n; stderr names the pair and its witness.  Output is
-deterministic: JSON lines are sorted-key and timing is confined to the
-human-readable table.
+for too shallow a --max-n; stderr names the pair and its witness.  Every
+refusal, the parser's own included, is one `error:` line on stderr from
+main.  Output is deterministic: JSON lines are sorted-key and timing is
+confined to the human-readable table.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .verify import cap_bytes, run_catalog, verify_prop54
 
 DEFAULT_ORDER = 1000
 
+# The depth to which genus --p checks the pullback bijection.
+PAIRING_MAX_N = 500
+
 USAGE_ERROR = 2
 
 # count walks every (y, z) row of the ellipsoid as arrays, about pi*n rows
@@ -43,7 +47,7 @@ USAGE_ERROR = 2
 COUNT_MAX_N = 10**7
 
 # tg1(p) classifies every form of discriminant p^2, in time growing about
-# as p^3: p = 409 takes about 0.3 s on a 2-vCPU Xeon, p = 547 about 0.7 s.
+# as p^3: genus --p 547 takes about 1.1 s on a 2-vCPU Xeon, start-up included.
 # genus_partition(D) for all genera of D costs more: 85264 takes about
 # 0.3 s, 274576 about 1.4 s and 49 MB.  genus --p and prop54 --p refuse a
 # larger p^2 before the primality test, and genus --disc a larger D.
@@ -63,23 +67,37 @@ _ARRAYS = "needs {} bytes for the arrays of one series"
 S_ROWS = 1 << 13
 
 
-class UsageError(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(USAGE_ERROR)
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises its errors for main to print, with no usage dump."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _non_negative(text: str) -> int:
+    """The value of --order, --max-n or --max."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
 
 
 def _require_cap(name: str, value: int, need: int, bounds: str) -> None:
     """Refuse value when need, a byte count that bounds words, passes ARRAY_CAP."""
     if need > ARRAY_CAP:
-        raise UsageError(
+        raise ValueError(
             f"{name} {value} {bounds.format(need)}, over the {ARRAY_CAP}-byte cap"
         )
 
 
 def _require_scan(name: str, value: int, disc: int) -> None:
     if disc > CLASS_SCAN_MAX_DISC:
-        raise UsageError(
+        raise ValueError(
             f"{name} {value} needs a class scan of discriminant {disc}, "
             f"over the ceiling of {CLASS_SCAN_MAX_DISC}"
         )
@@ -90,21 +108,6 @@ def _odd_prime(p: int) -> int:
     _require_scan("--p", p, p * p)
     require_odd_prime(p)
     return p
-
-
-def _order(args) -> tuple[str, int]:
-    """(name, order): --order, else TERNARY_ORDER, else the default."""
-    if args.order is not None:
-        name, order = "--order", args.order
-    else:
-        name, env = "TERNARY_ORDER", os.environ.get("TERNARY_ORDER")
-        try:
-            order = int(env) if env else DEFAULT_ORDER
-        except ValueError:
-            raise UsageError(f"TERNARY_ORDER must be an integer, got {env!r}")
-    if order < 0:
-        raise UsageError(f"{name} must be non-negative, got {order}")
-    return name, order
 
 
 def _cell(row: dict, column: str) -> str:
@@ -152,38 +155,32 @@ def _check_output(path: str) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def _parse_form(text: str):
+def _parse_form(text: str) -> TernaryForm:
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"malformed form tuple {text!r}")
+        raise ValueError(f"malformed form tuple {text!r}")
     if len(parts) != 6:
-        raise UsageError(
+        raise ValueError(
             "expected a 6-tuple a,b,c,d,e,f (coefficients of "
             "x^2, y^2, z^2, yz, zx, xy)"
         )
-    try:
-        return TernaryForm(*parts)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return TernaryForm(*parts)
 
 
 def _cmd_verify(args) -> int:
-    name, order = _order(args)
     specs = catalog()
-    if args.all or not args.id:
-        ids = None
-    else:
-        ids = args.id
+    if args.id:
         known = {s.id for s in specs}
-        for ident in ids:
+        for ident in args.id:
             if ident not in known:
-                raise UsageError(f"unknown identity id {ident!r}")
-        specs = [s for s in specs if s.id in ids]
+                raise ValueError(f"unknown identity id {ident!r}")
+        specs = [s for s in specs if s.id in args.id]
+    order = args.order
     walk, arrays = cap_bytes([x for s in specs for x in (s.lhs, s.rhs)], order)
-    _require_cap(name, order, arrays, _ARRAYS)
-    _require_cap(name, order, walk, _WALK)
-    reports = run_catalog(order, ids)
+    _require_cap("--order", order, arrays, _ARRAYS)
+    _require_cap("--order", order, walk, _WALK)
+    reports = run_catalog(order, args.id)
     rows = []
     for r in reports:
         row = r.to_json_dict()
@@ -208,7 +205,7 @@ def _cmd_verify(args) -> int:
 def _cmd_count(args) -> int:
     form = _parse_form(args.form)
     if args.n > COUNT_MAX_N:
-        raise UsageError(f"--n must be at most {COUNT_MAX_N}, got {args.n}")
+        raise ValueError(f"--n must be at most {COUNT_MAX_N}, got {args.n}")
     print(rep_count_ternary(form, args.n))
     return 0
 
@@ -216,8 +213,6 @@ def _cmd_count(args) -> int:
 def _cmd_s(args) -> int:
     """Write the rows of s(0..max) in chunks of S_ROWS, straight from the
     table, in the bytes _emit would give the rows {"n": n, "s": s(n)}."""
-    if args.max < 0:
-        raise UsageError("--max must be non-negative")
     table = s_table(args.max)
     if args.format == "json":
         head, row = "", '{{"n": {}, "s": {}}}\n'
@@ -253,18 +248,15 @@ def _genus_rows(genus, label):
 
 
 def _cmd_genus(args) -> int:
-    if (args.p is None) == (args.disc is None):
-        raise UsageError("genus takes exactly one of --p and --disc")
     if args.p is not None:
         _odd_prime(args.p)
+        max_n = PAIRING_MAX_N if args.max_n is None else args.max_n
         # The pairing pulls tg2's theta series back from 4 * max_n.  The
         # cap is on the points those thetas walk, their work, though each
         # holds only a batch of them at a time.
-        _require_cap(
-            "--max-n", args.max_n, point_array_bytes(3, 4 * args.max_n), _WALK
-        )
+        _require_cap("--max-n", max_n, point_array_bytes(3, 4 * max_n), _WALK)
         genus1, genus2 = tg1(args.p), tg2(args.p)
-        pairing = find_h_between(genus2, genus1, args.max_n)
+        pairing = find_h_between(genus2, genus1, max_n)
         if args.format == "json":
             doc = {
                 "p": args.p,
@@ -292,6 +284,8 @@ def _cmd_genus(args) -> int:
             print(f"error: pullback bijection: {pairing.detail}", file=sys.stderr)
             return 1
         return 0
+    if args.max_n is not None:
+        raise ValueError("genus --max-n goes with --p, not --disc")
     _require_scan("--disc", args.disc, args.disc)
     genera = genus_partition(args.disc)
     if args.format == "json":
@@ -313,13 +307,13 @@ def _cmd_prop54(args) -> int:
         try:
             p = int(part)
         except ValueError:
-            raise UsageError(f"malformed prime {part!r}")
+            raise ValueError(f"malformed prime {part!r}")
         primes.append(_odd_prime(p))
     # s(p^2 max_n) from r2 in uint16, and the points each genus member's
     # theta walks.
     top = max(primes) ** 2 * args.max_n
     if top > _S_MAX:
-        raise UsageError(
+        raise ValueError(
             f"--max-n {args.max_n} needs s({top}) from a uint16 r2, "
             f"exact only up to {_S_MAX}"
         )
@@ -350,7 +344,7 @@ def _cmd_prop54(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="threesquares",
         description="Exact verification of sums-of-three-squares identities "
         "and ternary quadratic form genus constructions.",
@@ -358,11 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run identity catalog checks")
-    p_verify.add_argument("--all", action="store_true", help="run every entry")
-    p_verify.add_argument(
-        "--id", action="append", help="identity id (repeatable)"
-    )
-    p_verify.add_argument("--order", type=int, default=None)
+    which = p_verify.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every entry")
+    which.add_argument("--id", action="append", help="identity id (repeatable)")
+    p_verify.add_argument("--order", type=_non_negative, default=DEFAULT_ORDER)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_count = sub.add_parser("count", help="representation count of one n")
@@ -371,18 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_s = sub.add_parser("s", help="sums-of-three-squares counts 0..max")
-    p_s.add_argument("--max", type=int, required=True)
+    p_s.add_argument("--max", type=_non_negative, required=True)
     p_s.set_defaults(func=_cmd_s)
 
     p_genus = sub.add_parser("genus", help="genus reports")
-    p_genus.add_argument("--p", type=int, help="odd prime: the two genera")
-    p_genus.add_argument("--disc", type=int, help="list genera of one discriminant")
-    p_genus.add_argument("--max-n", type=int, default=500)
+    which = p_genus.add_mutually_exclusive_group(required=True)
+    which.add_argument("--p", type=int, help="odd prime: the two genera")
+    which.add_argument("--disc", type=int, help="list genera of one discriminant")
+    p_genus.add_argument("--max-n", type=_non_negative)
     p_genus.set_defaults(func=_cmd_genus)
 
     p54 = sub.add_parser("prop54", help="weighted two-genus identity")
     p54.add_argument("--p", required=True, help="comma-separated odd primes")
-    p54.add_argument("--max-n", type=int, default=1000)
+    p54.add_argument("--max-n", type=_non_negative, default=1000)
     p54.set_defaults(func=_cmd_prop54)
 
     for sp in (p_verify, p_s, p_genus, p54):
@@ -394,16 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_n", 0) < 0:
-        raise UsageError("--max-n must be non-negative")
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "output", None):
             _check_output(args.output)
         return args.func(args)
-    except UsageError:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -199,15 +199,6 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
-def test_env_default_order(monkeypatch, capsys):
-    monkeypatch.setenv("TERNARY_ORDER", "50")
-    code, out, _ = run_cli(
-        ["verify", "--id", "E1.14", "--format", "json"], capsys
-    )
-    assert code == 0
-    assert json.loads(out.strip())["order"] == 50
-
-
 def test_genus_exit_code_follows_pairing_status(monkeypatch, capsys):
     from threesquares import cli
     from threesquares.genera import HResult
@@ -275,28 +266,6 @@ def test_genus_names_the_pair_a_swap_breaks(monkeypatch, capsys):
     # Below the first difference the swap passes: the check runs to --max-n.
     below = ["genus", "--p", "29", "--max-n", str(witness[0] - 1)]
     assert run_cli(below, capsys)[0] == 0
-
-
-@pytest.mark.parametrize(
-    "order, env, message",
-    [
-        ("-5", None, "--order must be non-negative"),
-        (None, "abc", "TERNARY_ORDER must be an integer"),
-        (None, "-3", "TERNARY_ORDER must be non-negative"),
-    ],
-)
-def test_bad_order_is_a_usage_error(monkeypatch, capsys, order, env, message):
-    if env is None:
-        monkeypatch.delenv("TERNARY_ORDER", raising=False)
-    else:
-        monkeypatch.setenv("TERNARY_ORDER", env)
-    argv = ["verify", "--id", "E1.9"]
-    if order is not None:
-        argv += ["--order", order]
-    code, out, err = run_cli(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and message in err
 
 
 @pytest.mark.parametrize(
@@ -545,7 +514,10 @@ def test_zero_row_json_report_is_empty(capsys):
 def test_negative_max_n_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == "error: --max-n must be non-negative\n"
+    assert err == (
+        f"error: threesquares {argv[0]}: argument --max-n: expected a "
+        f"non-negative integer, got '{argv[-1]}'\n"
+    )
 
 
 def test_count_refuses_n_above_its_cap_before_any_rows(monkeypatch, capsys):
@@ -612,23 +584,18 @@ def _passes_the_cap(monkeypatch, capsys, attr, argv):
     assert run_cli(argv, capsys) == (1, "", "error: reached\n")
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
-def test_verify_order_above_the_array_cap(monkeypatch, capsys, via_env):
+def test_verify_order_above_the_array_cap(monkeypatch, capsys):
     from threesquares import cli
 
     # The deepest ternary theta of the catalog runs to 4 * order + 2, and
     # point_array_bytes(3, 4 * 6439 + 2) is the last size within 1 GiB.
     def argv(order):
-        if via_env:
-            monkeypatch.setenv("TERNARY_ORDER", str(order))
-            return ["verify", "--all"]
         return ["verify", "--all", "--order", str(order)]
 
-    name = "TERNARY_ORDER" if via_env else "--order"
     err = _refuses_before_work(monkeypatch, capsys, ["run_catalog"], argv(6440))
     # The cap bounds the points the theta walks, not an array it holds.
     assert err == (
-        f"error: {name} 6440 walks lattice points whose int64 rows would "
+        f"error: --order 6440 walks lattice points whose int64 rows would "
         f"take {32 * 323**3} bytes, over the {cli.ARRAY_CAP}-byte cap\n"
     )
     _passes_the_cap(monkeypatch, capsys, "run_catalog", argv(6439))
@@ -742,12 +709,103 @@ def test_prime_at_the_class_scan_ceiling_is_let_through(
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["genus", "--p", "73", "--disc", "5"], ["genus"]],
+    "argv, message",
+    [
+        (["genus", "--p", "73", "--disc", "5"],
+         "argument --disc: not allowed with argument --p"),
+        (["genus"], "one of the arguments --p --disc is required"),
+    ],
     ids=["both", "neither"],
 )
-def test_genus_takes_exactly_one_of_p_and_disc(monkeypatch, capsys, argv):
+def test_genus_takes_exactly_one_of_p_and_disc(monkeypatch, capsys, argv, message):
     err = _refuses_before_work(
         monkeypatch, capsys, ["tg1", "tg2", "genus_partition"], argv
     )
-    assert err == "error: genus takes exactly one of --p and --disc\n"
+    assert err == f"error: threesquares genus: {message}\n"
+
+
+def test_genus_p_checks_the_pairing_to_500_by_default(monkeypatch, capsys):
+    from threesquares.genera import HResult
+
+    depths = []
+
+    def record(src, dst, max_n):
+        depths.append(max_n)
+        return HResult("ok", (), "")
+
+    monkeypatch.setattr(cli, "find_h_between", record)
+    assert run_cli(["genus", "--p", "23", "--format", "json"], capsys)[0] == 0
+    assert depths == [cli.PAIRING_MAX_N] == [500]
+
+
+# Every refusal, the parser's own included: exit 2, nothing on stdout and
+# one line on stderr, no usage dump.  Each line starts with the text given;
+# argparse words the list of choices differently across Python versions.
+REFUSALS = {
+    "invalid-int": (["genus", "--p", "x"],
+                    "threesquares genus: argument --p: invalid int value: 'x'"),
+    "invalid-order": (["verify", "--order", "abc"],
+                      "threesquares verify: argument --order: expected a "
+                      "non-negative integer, got 'abc'"),
+    "missing-option": (["prop54"],
+                       "threesquares prop54: the following arguments are "
+                       "required: --p"),
+    "invalid-format": (["verify", "--format", "xml"],
+                       "threesquares verify: argument --format: invalid choice: "
+                       "'xml' (choose from "),
+    "unknown-command": (["bogus"],
+                        "threesquares: argument command: invalid choice: 'bogus' "
+                        "(choose from "),
+    "no-command": ([], "threesquares: the following arguments are required: "
+                   "command"),
+    "negative-order": (["verify", "--id", "E1.9", "--order", "-5"],
+                       "threesquares verify: argument --order: expected a "
+                       "non-negative integer, got '-5'"),
+    "negative-max-n": (["genus", "--p", "7", "--max-n", "-1"],
+                       "threesquares genus: argument --max-n: expected a "
+                       "non-negative integer, got '-1'"),
+    "negative-max": (["s", "--max", "-1"],
+                     "threesquares s: argument --max: expected a non-negative "
+                     "integer, got '-1'"),
+    "p-and-disc": (["genus", "--p", "7", "--disc", "16"],
+                   "threesquares genus: argument --disc: not allowed with "
+                   "argument --p"),
+    "neither-p-nor-disc": (["genus", "--format", "json"],
+                           "threesquares genus: one of the arguments --p "
+                           "--disc is required"),
+    "all-and-id": (["verify", "--id", "E1.9", "--all"],
+                   "threesquares verify: argument --all: not allowed with "
+                   "argument --id"),
+    "max-n-with-disc": (["genus", "--disc", "16", "--max-n", "7"],
+                        "genus --max-n goes with --p, not --disc"),
+    "malformed-form": (["count", "--form", "1,1,x,0,0,0", "--n", "5"],
+                       "malformed form tuple '1,1,x,0,0,0'"),
+    "short-form": (["count", "--form", "1,1,1", "--n", "5"],
+                   "expected a 6-tuple a,b,c,d,e,f (coefficients of x^2, y^2, "
+                   "z^2, yz, zx, xy)"),
+    "indefinite-form": (["count", "--form", "1,1,-3,0,0,0", "--n", "5"],
+                        "form (1, 1, -3, 0, 0, 0) is not positive definite"),
+    "non-prime": (["genus", "--p", "9"], "9 is not an odd prime"),
+    "malformed-prime": (["prop54", "--p", "3,x"], "malformed prime 'x'"),
+    "unknown-id": (["verify", "--id", "BOGUS"], "unknown identity id 'BOGUS'"),
+    "cap": (["verify", "--all", "--order", "6440"],
+            "--order 6440 walks lattice points whose int64 rows would take "
+            f"{32 * 323**3} bytes, over the {cli.ARRAY_CAP}-byte cap"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["genus", "--help"]], ids=["top", "genus"])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: threesquares")

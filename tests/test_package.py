@@ -5,7 +5,7 @@ is not a dunder, must be referenced somewhere in the package outside
 __init__.py and outside its own body.  Independent references that only
 the tests compare against live in the tests.  KEEP names the few
 definitions that the package exports for its readers without calling
-them itself.
+them itself, or that the standard library calls.
 
 Likewise every parameter with a default must be passed by some call in
 the package, so that no knob exists for the tests alone.  KNOBS names
@@ -29,6 +29,8 @@ KEEP = {
     # Seed API that the seed tests pin.
     "QSeries.is_zero": "seed API",
     "QSeries.from_json_dict": "seed API",
+    # argparse calls it on a bad command line.
+    "_Parser.error": "argparse's hook for a refused command line",
 }
 
 
@@ -164,3 +166,12 @@ def unpassed_knobs() -> set[str]:
 
 def test_every_default_is_passed_by_the_package():
     assert unpassed_knobs() == set(KNOBS)
+
+
+def test_no_module_reads_the_environment():
+    # Each setting has one source, the command line or the caller.
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    readers = {
+        file: sorted(reads & set(references(tree))) for file, tree in parse().items()
+    }
+    assert {file: names for file, names in readers.items() if names} == {}
